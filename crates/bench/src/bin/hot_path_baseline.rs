@@ -25,8 +25,9 @@
 //!   more than 25% past the committed baseline.  Does not rewrite the
 //!   baseline.
 //!
-//! Set `PIC_HOST_THREADS` to pin the host worker count for reproducible
-//! numbers on shared CI runners.
+//! `PIC_HOST_THREADS` does not pin these numbers: it sizes only the
+//! modeled machine's host worker pool, while the threaded workload runs
+//! one thread per rank regardless.
 //!
 //! Usage: `hot_path_baseline [--iters N | --quick] [--before FILE | --check FILE]`
 

@@ -81,28 +81,38 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
             b_at.clear();
             e_at.reserve(n);
             b_at.reserve(n);
+            let (w, h) = (rect.w, rect.h);
             for i in 0..n {
                 let cic = Cic::new(particles.x[i], particles.y[i], dx, dy, nx, ny);
                 ctx.charge_ops(4.0 * costs::GATHER_VERTEX);
+                // Interior cell: all four vertices are in the block, at
+                // four fixed offsets into the padded (+1 ring) copy.
+                let (lx, ly) = (cic.ix.wrapping_sub(rect.x0), cic.iy.wrapping_sub(rect.y0));
+                let verts = if lx < w - 1 && ly < h - 1 {
+                    let base = (ly + 1) * pw + lx + 1;
+                    let v = &aos[base..base + pw + 2];
+                    [v[0], v[1], v[pw], v[pw + 1]]
+                } else {
+                    cic.corners(nx, ny).map(|(cx, cy)| {
+                        if rect.contains(cx, cy) {
+                            aos[(cy - rect.y0 + 1) * pw + cx - rect.x0 + 1]
+                        } else {
+                            let key = cy as u32 * nxu + cx as u32;
+                            cache.get(key).unwrap_or_else(|| {
+                                panic!(
+                                    "gather: ghost vertex {key} (cell {cx},{cy}) missing \
+                                     from scatter round"
+                                )
+                            })
+                        }
+                    })
+                };
                 let mut e = [0.0f64; 3];
                 let mut b = [0.0f64; 3];
-                for (k, (cx, cy)) in cic.corners(nx, ny).into_iter().enumerate() {
-                    let w = cic.w[k];
-                    let vals = if rect.contains(cx, cy) {
-                        let (lx, ly) = (cx - rect.x0 + 1, cy - rect.y0 + 1);
-                        aos[ly * pw + lx]
-                    } else {
-                        let key = cy as u32 * nxu + cx as u32;
-                        cache.get(key).unwrap_or_else(|| {
-                            panic!(
-                                "gather: ghost vertex {key} (cell {cx},{cy}) missing \
-                                 from scatter round"
-                            )
-                        })
-                    };
+                for (wk, vals) in cic.w.into_iter().zip(verts) {
                     for c in 0..3 {
-                        e[c] += w * vals[c];
-                        b[c] += w * vals[3 + c];
+                        e[c] += wk * vals[c];
+                        b[c] += wk * vals[3 + c];
                     }
                 }
                 e_at.push(e);

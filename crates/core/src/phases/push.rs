@@ -25,20 +25,27 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
         let qm = st.particles.qm();
         let n = st.particles.len();
         debug_assert_eq!(st.e_at.len(), n, "gather must precede push");
+        let p = &mut st.particles;
+        let (x, y) = (&mut p.x[..n], &mut p.y[..n]);
+        let (ux, uy, uz) = (&mut p.ux[..n], &mut p.uy[..n], &mut p.uz[..n]);
+        let (e_at, b_at) = (&st.e_at[..n], &st.b_at[..n]);
         for i in 0..n {
-            let u = [st.particles.ux[i], st.particles.uy[i], st.particles.uz[i]];
             let fields = BorisStep {
-                e: st.e_at[i],
-                b: st.b_at[i],
+                e: e_at[i],
+                b: b_at[i],
             };
-            let u2 = boris_push(u, &fields, qm, dt);
+            let u2 = boris_push([ux[i], uy[i], uz[i]], &fields, qm, dt);
             let gamma = gamma_of(u2);
-            st.particles.ux[i] = u2[0];
-            st.particles.uy[i] = u2[1];
-            st.particles.uz[i] = u2[2];
-            st.particles.x[i] = wrap_periodic(st.particles.x[i] + u2[0] / gamma * dt, lx);
-            st.particles.y[i] = wrap_periodic(st.particles.y[i] + u2[1] / gamma * dt, ly);
+            ux[i] = u2[0];
+            uy[i] = u2[1];
+            uz[i] = u2[2];
+            x[i] += u2[0] / gamma * dt;
+            y[i] += u2[1] / gamma * dt;
         }
+        // Wrap in a second sweep: few particles cross the periodic
+        // boundary, and the Boris loop above stays free of branches.
+        x.iter_mut().for_each(|x| *x = wrap_periodic(*x, lx));
+        y.iter_mut().for_each(|y| *y = wrap_periodic(*y, ly));
         ctx.charge_ops(n as f64 * costs::PUSH_PARTICLE);
     })?;
 

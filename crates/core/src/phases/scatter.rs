@@ -28,25 +28,51 @@ pub fn run<E: SpmdEngine<RankState>>(machine: &mut E, env: &PhaseEnv) -> Result<
         move |_r, st, ctx, ob: &mut Outbox<GhostCurrents>| {
             st.currents.clear();
             st.ghost_serving.clear();
-            let q = st.particles.charge;
-            let ghost_cost = st.ghost.add_cost();
-            for i in 0..st.particles.len() {
-                let u = [st.particles.ux[i], st.particles.uy[i], st.particles.uz[i]];
+            let RankState {
+                particles,
+                currents,
+                ghost,
+                rect,
+                ..
+            } = st;
+            let q = particles.charge;
+            let ghost_cost = ghost.add_cost();
+            let (w, h) = (rect.w, rect.h);
+            let jx = currents.jx.as_mut_slice();
+            let jy = currents.jy.as_mut_slice();
+            let jz = currents.jz.as_mut_slice();
+            for i in 0..particles.len() {
+                let u = [particles.ux[i], particles.uy[i], particles.uz[i]];
                 let gamma = gamma_of(u);
                 let v = [u[0] / gamma, u[1] / gamma, u[2] / gamma];
-                let cic = Cic::new(st.particles.x[i], st.particles.y[i], dx, dy, nx, ny);
+                let cic = Cic::new(particles.x[i], particles.y[i], dx, dy, nx, ny);
                 ctx.charge_ops(4.0 * costs::SCATTER_VERTEX);
-                for (k, (cx, cy)) in cic.corners(nx, ny).into_iter().enumerate() {
-                    let w = cic.w[k];
-                    let val = [q * v[0] * w, q * v[1] * w, q * v[2] * w];
-                    if st.rect.contains(cx, cy) {
-                        let (lx, ly) = (cx - st.rect.x0, cy - st.rect.y0);
-                        st.currents.jx[(lx, ly)] += val[0];
-                        st.currents.jy[(lx, ly)] += val[1];
-                        st.currents.jz[(lx, ly)] += val[2];
-                    } else {
-                        st.ghost.add(cx as u32, cy as u32, val);
-                        ctx.charge_ops(ghost_cost);
+                // Interior cell: all four vertices are in the block and
+                // none wraps, so they sit at four fixed flat offsets.
+                let (lx, ly) = (cic.ix.wrapping_sub(rect.x0), cic.iy.wrapping_sub(rect.y0));
+                if lx < w - 1 && ly < h - 1 {
+                    // one bounds check per component, then fixed offsets
+                    let base = ly * w + lx;
+                    let span = base..base + w + 2;
+                    let (jx, jy, jz) =
+                        (&mut jx[span.clone()], &mut jy[span.clone()], &mut jz[span]);
+                    for (wk, o) in cic.w.into_iter().zip([0, 1, w, w + 1]) {
+                        jx[o] += q * v[0] * wk;
+                        jy[o] += q * v[1] * wk;
+                        jz[o] += q * v[2] * wk;
+                    }
+                } else {
+                    for (wk, (cx, cy)) in cic.w.into_iter().zip(cic.corners(nx, ny)) {
+                        let val = [q * v[0] * wk, q * v[1] * wk, q * v[2] * wk];
+                        if rect.contains(cx, cy) {
+                            let o = (cy - rect.y0) * w + cx - rect.x0;
+                            jx[o] += val[0];
+                            jy[o] += val[1];
+                            jz[o] += val[2];
+                        } else {
+                            ghost.add(cx as u32, cy as u32, val);
+                            ctx.charge_ops(ghost_cost);
+                        }
                     }
                 }
             }

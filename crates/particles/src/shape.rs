@@ -53,10 +53,15 @@ impl Cic {
 
     /// The four vertex grid points, wrapped periodically onto an
     /// `nx x ny` vertex grid.
+    ///
+    /// The cell must lie on the grid (`ix < nx`, `iy < ny`), as
+    /// [`Cic::new`] guarantees; only the last column and row wrap, so a
+    /// comparison replaces the integer division of `%`.
     #[inline]
     pub fn corners(&self, nx: usize, ny: usize) -> [(usize, usize); 4] {
-        let xp = (self.ix + 1) % nx;
-        let yp = (self.iy + 1) % ny;
+        debug_assert!(self.ix < nx && self.iy < ny, "cell outside the grid");
+        let xp = if self.ix + 1 == nx { 0 } else { self.ix + 1 };
+        let yp = if self.iy + 1 == ny { 0 } else { self.iy + 1 };
         [(self.ix, self.iy), (xp, self.iy), (self.ix, yp), (xp, yp)]
     }
 
@@ -102,6 +107,27 @@ mod tests {
     fn corners_wrap_periodically() {
         let c = Cic::new(7.5, 3.5, 1.0, 1.0, 8, 4);
         assert_eq!(c.corners(8, 4), [(7, 3), (0, 3), (7, 0), (0, 0)]);
+    }
+
+    #[test]
+    fn corners_equal_modulo_formula_on_every_cell() {
+        for (nx, ny) in [(1, 1), (1, 3), (2, 1), (5, 4), (8, 8)] {
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let c = Cic {
+                        ix,
+                        iy,
+                        w: [0.25; 4],
+                    };
+                    let (xp, yp) = ((ix + 1) % nx, (iy + 1) % ny);
+                    assert_eq!(
+                        c.corners(nx, ny),
+                        [(ix, iy), (xp, iy), (ix, yp), (xp, yp)],
+                        "cell ({ix},{iy}) on {nx}x{ny}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
