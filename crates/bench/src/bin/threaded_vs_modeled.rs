@@ -1,6 +1,6 @@
 //! Wall-clock comparison of the two executors running the identical
 //! simulation: the modeled BSP machine (host-parallel rank loops,
-//! `ExecMode::Rayon`) versus the real-threads executor (one OS thread
+//! `ExecMode::HostThreads`) versus the real-threads executor (one OS thread
 //! per rank, genuine message passing).
 //!
 //! Three things worth reading off the table:

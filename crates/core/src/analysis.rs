@@ -5,12 +5,11 @@
 //! harness compare them against the simulated machine's actual charges.
 
 use pic_machine::MachineConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::costs;
 
 /// Modeled upper bounds for one iteration of the four phases.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseBounds {
     /// Scatter bound: `4 n/p T_s + (p-1) tau + u l mu`.
     pub scatter_s: f64,

@@ -10,10 +10,10 @@
 //! uninterrupted one.
 //!
 //! The wire format is a small hand-rolled little-endian binary codec
-//! (the vendored `serde` is a marker-trait stand-in and cannot
-//! serialize): a magic/version header, a length-prefixed payload, and a
-//! trailing FNV-1a checksum so torn or corrupted snapshots are rejected
-//! on decode instead of resurrecting a half-written state.
+//! (the workspace has no serialization dependency): a magic/version
+//! header, a length-prefixed payload, and a trailing FNV-1a checksum so
+//! torn or corrupted snapshots are rejected on decode instead of
+//! resurrecting a half-written state.
 
 use std::fmt;
 

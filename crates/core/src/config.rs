@@ -4,11 +4,10 @@ use pic_index::IndexScheme;
 use pic_machine::{ExecMode, MachineConfig};
 use pic_particles::ParticleDistribution;
 use pic_partition::PolicyKind;
-use serde::{Deserialize, Serialize};
 
 /// How duplicate off-processor accesses are removed in the scatter phase
 /// (paper Section 3.2, Figure 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DedupKind {
     /// Hash table: memory proportional to the ghost set, extra search
     /// time per access.
@@ -19,7 +18,7 @@ pub enum DedupKind {
 }
 
 /// Particle movement method (paper Section 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MovementMethod {
     /// Direct Lagrangian: the particle→rank assignment is fixed between
     /// redistributions (the paper's choice for scalability).
@@ -31,7 +30,7 @@ pub enum MovementMethod {
 }
 
 /// Full configuration of a parallel PIC run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Mesh cells along x (also the vertex grid width, periodic).
     pub nx: usize,
@@ -113,11 +112,11 @@ impl SimConfig {
     }
 
     /// Execution mode for the host: tests and examples run sequentially
-    /// for clarity; the big sweeps use rayon.  Not serialized — it never
-    /// affects results.
+    /// for clarity; the big sweeps spread ranks over host threads.  It
+    /// never affects results.
     pub fn exec_mode(&self) -> ExecMode {
         if self.machine.ranks >= 16 && self.particles >= 16_384 {
-            ExecMode::Rayon
+            ExecMode::HostThreads
         } else {
             ExecMode::Sequential
         }
@@ -187,7 +186,10 @@ mod tests {
     #[test]
     fn exec_mode_scales_with_size() {
         assert_eq!(SimConfig::small_test().exec_mode(), ExecMode::Sequential);
-        assert_eq!(SimConfig::paper_default().exec_mode(), ExecMode::Rayon);
+        assert_eq!(
+            SimConfig::paper_default().exec_mode(),
+            ExecMode::HostThreads
+        );
     }
 
     #[test]

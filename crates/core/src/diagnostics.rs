@@ -1,11 +1,9 @@
 //! Physics conservation diagnostics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::RankState;
 
 /// Energy split of the whole system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Total particle kinetic energy.
     pub kinetic: f64,

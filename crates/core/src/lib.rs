@@ -61,7 +61,7 @@ pub use config::{DedupKind, MovementMethod, SimConfig};
 pub use diagnostics::EnergyReport;
 pub use electrostatic::ElectrostaticPicSim;
 pub use ghost::{DirectTableAccumulator, GhostAccumulator, HashTableAccumulator};
-pub use recovery::{run_with_recovery, run_with_recovery_traced, RecoveryOutcome};
+pub use recovery::{run_with_recovery, RecoveryOutcome};
 pub use replicated::ReplicatedGridPicSim;
 pub use scratch::ScratchArena;
 pub use sequential::SequentialPicSim;

@@ -15,11 +15,15 @@
 //! Checkpoints are held as *encoded bytes* and decoded on restart, so
 //! recovery exercises the full serialize → checksum → deserialize path
 //! rather than cloning live state.
-
-use std::sync::Arc;
+//!
+//! The caller's [`Instruments`] — recorder, metrics, fault plan — move
+//! from the failed simulation into the resumed one, so the whole
+//! protected run lands in one event stream with one superstep numbering,
+//! one metrics registry, and one fault plan whose consumed kills stay
+//! consumed.
 
 use pic_machine::{
-    CheckpointAction, CheckpointEvent, FaultPlan, Recorder, SpmdEngine, SpmdError, TraceEvent,
+    CheckpointAction, CheckpointEvent, Instruments, SpmdEngine, SpmdError, StatsLog, TraceEvent,
 };
 
 use crate::checkpoint::Checkpoint;
@@ -47,8 +51,13 @@ pub struct RecoveryOutcome<E: SpmdEngine<RankState>> {
 /// every `checkpoint_every`-th completed iteration (`0` disables
 /// periodic snapshots, leaving only the post-setup one).  On an
 /// iteration failure the driver decodes the latest snapshot, rebuilds
-/// the simulation, re-installs `plan`, and continues; after
+/// the simulation, moves `instruments` into it, and continues; after
 /// `max_restarts` restarts the next failure is returned to the caller.
+///
+/// An installed recorder sees everything a plain run does *plus* the
+/// recovery story itself: a [`CheckpointEvent`] for every snapshot saved
+/// and restored (fault events are emitted by the driver at the failing
+/// iteration).
 ///
 /// # Errors
 /// Returns the error of the failure that exhausted `max_restarts`, or
@@ -57,32 +66,10 @@ pub fn run_with_recovery<E: SpmdEngine<RankState>>(
     cfg: SimConfig,
     iterations: usize,
     checkpoint_every: usize,
-    plan: Option<Arc<FaultPlan>>,
+    instruments: Instruments,
     max_restarts: usize,
 ) -> Result<RecoveryOutcome<E>, SpmdError> {
-    run_with_recovery_traced(cfg, iterations, checkpoint_every, plan, max_restarts, None)
-}
-
-/// [`run_with_recovery`] with an observability [`Recorder`] installed
-/// for the whole protected run.  The recorder sees everything the plain
-/// recovery loop does *plus* the recovery story itself: a
-/// [`CheckpointEvent`] for every snapshot saved and restored (fault
-/// events are emitted by the driver at the failing iteration).  On
-/// restart the recorder is carried from the dead simulation into the
-/// resumed one, so the whole protected run lands in one event stream.
-///
-/// # Errors
-/// Returns the error of the failure that exhausted `max_restarts`, or
-/// of a failed initial distribution (nothing to restart from).
-pub fn run_with_recovery_traced<E: SpmdEngine<RankState>>(
-    cfg: SimConfig,
-    iterations: usize,
-    checkpoint_every: usize,
-    plan: Option<Arc<FaultPlan>>,
-    max_restarts: usize,
-    recorder: Option<Box<dyn Recorder>>,
-) -> Result<RecoveryOutcome<E>, SpmdError> {
-    let mut sim = GenericPicSim::<E>::try_new_traced(cfg.clone(), plan.clone(), recorder)?;
+    let mut sim = GenericPicSim::<E>::try_new_with(cfg.clone(), instruments)?;
     let mut latest = sim.checkpoint().encode();
     emit_checkpoint(&mut sim, 0, latest.len(), CheckpointAction::Saved);
     let mut records: Vec<IterationRecord> = Vec::with_capacity(iterations);
@@ -111,11 +98,14 @@ pub fn run_with_recovery_traced<E: SpmdEngine<RankState>>(
                 // they will be re-executed
                 records.truncate(ck.iter as usize);
                 let mut fresh = GenericPicSim::<E>::resume_from(cfg.clone(), &ck);
-                if let Some(p) = &plan {
-                    fresh.set_fault_plan(Some(Arc::clone(p)));
-                }
-                // carry the event stream into the resumed simulation
-                fresh.set_recorder(sim.take_recorder());
+                // carry the observers into the resumed simulation, minus
+                // the failed iteration's partial stats
+                let carried = std::mem::take(sim.instruments_mut());
+                *fresh.instruments_mut() = Instruments {
+                    stats: StatsLog::new(),
+                    fault_epoch: ck.iter,
+                    ..carried
+                };
                 sim = fresh;
                 emit_checkpoint(&mut sim, ck.iter, latest.len(), CheckpointAction::Restored);
             }
@@ -137,7 +127,7 @@ fn emit_checkpoint<E: SpmdEngine<RankState>>(
     bytes: usize,
     action: CheckpointAction,
 ) {
-    if let Some(rec) = sim.recorder_mut() {
+    if let Some(rec) = &mut sim.instruments_mut().recorder {
         rec.record(&TraceEvent::Checkpoint(CheckpointEvent {
             iter,
             bytes: bytes as u64,

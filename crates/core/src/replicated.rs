@@ -306,6 +306,7 @@ impl Which {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pic_machine::SpmdEngine;
 
     #[test]
     fn replicated_matches_sequential_physics() {

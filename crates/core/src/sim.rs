@@ -1,16 +1,13 @@
 //! The parallel PIC simulation driver.
 
-use std::sync::Arc;
-
 use pic_field::{HaloPlan, MaxwellSolver};
 use pic_index::CellIndexer;
 use pic_machine::{
-    FailureCause, FaultEvent, FaultPlan, IterationEvent, Machine, PhaseKind, PolicyDecisionEvent,
-    RankLoadEvent, Recorder, RedistributionEvent, RedistributionTrigger, SharedMetrics, SpmdEngine,
-    SpmdError, StatsLog, SuperstepStats, ThreadedMachine, TraceEvent,
+    FailureCause, FaultEvent, Instruments, IterationEvent, Machine, PhaseKind, PolicyDecisionEvent,
+    RankLoadEvent, RedistributionEvent, RedistributionTrigger, SpmdEngine, SpmdError,
+    SuperstepStats, ThreadedMachine, TraceEvent,
 };
 use pic_partition::{sfc_block_layout, PolicyDecision, RedistributionPolicy};
-use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{Checkpoint, RankSnapshot};
 use crate::config::{MovementMethod, SimConfig};
@@ -19,7 +16,7 @@ use crate::phases::{self, PhaseEnv};
 use crate::state::RankState;
 
 /// Modeled time spent per phase, accumulated over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Scatter phase seconds.
     pub scatter_s: f64,
@@ -62,7 +59,7 @@ impl PhaseBreakdown {
 }
 
 /// One iteration's measurements — the rows behind Figures 17, 18 and 19.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationRecord {
     /// Iteration number (1-based).
     pub iter: usize,
@@ -92,7 +89,7 @@ pub struct IterationRecord {
 }
 
 /// Summary of a full run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Per-iteration records.
     pub iterations: Vec<IterationRecord>,
@@ -221,73 +218,29 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// # Panics
     /// Panics on an invalid configuration.
     pub fn try_new(cfg: SimConfig) -> Result<Self, SpmdError> {
-        Self::try_new_with(cfg, None)
+        Self::try_new_with(cfg, Instruments::default())
     }
 
-    /// [`GenericPicSim::try_new`] with a fault plan installed *before*
-    /// the initial distribution, so plan entries against epoch 0 can
-    /// target setup itself.
+    /// [`GenericPicSim::try_new`] with `instruments` — a recorder, a
+    /// metrics registry, a fault plan — installed *before* the initial
+    /// distribution, so the setup collectives and the setup
+    /// [`RedistributionEvent`] land in the trace and the communication
+    /// matrix, the structure gauges (alignment, curve locality) are
+    /// sampled at startup, and plan entries against epoch 0 can target
+    /// setup itself.
     ///
     /// # Errors
     /// Returns the [`SpmdError`] when the initial distribution fails.
     ///
     /// # Panics
     /// Panics on an invalid configuration.
-    pub fn try_new_with(cfg: SimConfig, plan: Option<Arc<FaultPlan>>) -> Result<Self, SpmdError> {
-        Self::try_new_traced(cfg, plan, None)
-    }
-
-    /// [`GenericPicSim::try_new_with`] with an observability
-    /// [`Recorder`] installed *before* the initial distribution, so the
-    /// setup collectives and the setup [`RedistributionEvent`] land in
-    /// the trace too (a recorder installed later via
-    /// [`GenericPicSim::set_recorder`] misses them).
-    ///
-    /// # Errors
-    /// Returns the [`SpmdError`] when the initial distribution fails.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn try_new_traced(
-        cfg: SimConfig,
-        plan: Option<Arc<FaultPlan>>,
-        recorder: Option<Box<dyn Recorder>>,
-    ) -> Result<Self, SpmdError> {
-        Self::try_new_observed(cfg, plan, recorder, None)
-    }
-
-    /// [`GenericPicSim::try_new_traced`] with a [`SharedMetrics`]
-    /// registry additionally installed *before* the initial
-    /// distribution, so the setup collectives count toward the
-    /// communication matrix and the structure gauges (alignment,
-    /// curve locality) are sampled at startup.
-    ///
-    /// # Errors
-    /// Returns the [`SpmdError`] when the initial distribution fails.
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration.
-    pub fn try_new_observed(
-        cfg: SimConfig,
-        plan: Option<Arc<FaultPlan>>,
-        recorder: Option<Box<dyn Recorder>>,
-        metrics: Option<SharedMetrics>,
-    ) -> Result<Self, SpmdError> {
+    pub fn try_new_with(cfg: SimConfig, instruments: Instruments) -> Result<Self, SpmdError> {
         let mut sim = Self::construct(cfg, true);
-        sim.machine.set_recorder(recorder);
-        sim.machine.set_metrics(metrics);
-        sim.machine.set_fault_plan(plan);
+        *sim.machine.instruments_mut() = instruments;
         sim.machine.set_fault_epoch(0);
         // initial distribution (also under Eulerian: a one-time spatial
         // assignment so particles start on their owning ranks)
-        let env = PhaseEnv {
-            cfg: &sim.cfg,
-            layout: &sim.layout,
-            halo: &sim.halo,
-            indexer: sim.indexer.as_ref(),
-            solver: &sim.solver,
-        };
-        let cost = phases::redistribute::run(&mut sim.machine, &env, true)?;
+        let cost = sim.with_env(|m, env| phases::redistribute::run(m, env, true))?;
         sim.setup_s = cost;
         sim.policy.notify_redistributed(0, cost);
         sim.breakdown.absorb(&sim.machine.stats_mut().drain());
@@ -300,9 +253,22 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         Ok(sim)
     }
 
+    /// Run `f` on the executor with the phase environment (configuration,
+    /// layout, halo plan, indexer, solver) borrowed beside it.
+    fn with_env<T>(&mut self, f: impl FnOnce(&mut E, &PhaseEnv<'_>) -> T) -> T {
+        let env = PhaseEnv {
+            cfg: &self.cfg,
+            layout: &self.layout,
+            halo: &self.halo,
+            indexer: self.indexer.as_ref(),
+            solver: &self.solver,
+        };
+        f(&mut self.machine, &env)
+    }
+
     /// Forward one driver-level event to the executor's recorder, if any.
     fn emit(&mut self, event: TraceEvent) {
-        if let Some(rec) = self.machine.recorder_mut() {
+        if let Some(rec) = &mut self.machine.instruments_mut().recorder {
             rec.record(&event);
         }
     }
@@ -315,7 +281,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// after each redistribution (when they actually change), never per
     /// iteration; see DESIGN.md §10 for the overhead policy.
     fn sample_structure_gauges(&mut self) {
-        let Some(metrics) = self.machine.metrics() else {
+        let Some(metrics) = self.machine.instruments().metrics.clone() else {
             return;
         };
         let jumps = pic_index::locality::neighbor_jump_stats(self.indexer.as_ref());
@@ -340,14 +306,14 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// cheap `O(p)` gauges and counters for the registry.
     fn observe_iteration(&mut self, counts: &[usize], redistributed: bool) {
         let now_s = self.machine.elapsed_s();
-        if self.machine.recorder_mut().is_some() {
+        if self.machine.instruments().recorder.is_some() {
             self.emit(TraceEvent::RankLoad(RankLoadEvent {
                 iter: self.iter as u64,
                 time_s: now_s,
                 counts: counts.iter().map(|&c| c as u64).collect(),
             }));
         }
-        let Some(metrics) = self.machine.metrics() else {
+        let Some(metrics) = self.machine.instruments().metrics.clone() else {
             return;
         };
         let max = counts.iter().copied().max().unwrap_or(0) as f64;
@@ -373,40 +339,20 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         });
     }
 
-    /// Install (or clear) an observability sink on the executor.  All
-    /// subsequent supersteps, collectives, and driver events (iterations,
-    /// redistributions, faults) are emitted to it; see
-    /// [`pic_machine::trace`].  To also capture setup, use
-    /// [`GenericPicSim::try_new_traced`].
-    pub fn set_recorder(&mut self, recorder: Option<Box<dyn Recorder>>) {
-        self.machine.set_recorder(recorder);
+    /// The executor's observers: statistics log, recorder, metrics
+    /// registry, fault plan and epoch.
+    pub fn instruments(&self) -> &Instruments {
+        self.machine.instruments()
     }
 
-    /// Remove and return the installed recorder (flush it or hand it to a
-    /// resumed simulation).
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.machine.take_recorder()
-    }
-
-    /// Mutable access to the installed recorder, if any (callers can
-    /// flush it or append their own events to the stream).
-    pub fn recorder_mut(&mut self) -> Option<&mut (dyn Recorder + '_)> {
-        self.machine.recorder_mut()
-    }
-
-    /// Install (or clear) a metrics registry on the executor.  All
-    /// subsequent supersteps and collectives feed the per-phase families
-    /// and the rank-pair communication matrix; the driver additionally
-    /// maintains iteration/redistribution/fault counters and the load
-    /// gauges.  To also capture setup, use
-    /// [`GenericPicSim::try_new_observed`].
-    pub fn set_metrics(&mut self, metrics: Option<SharedMetrics>) {
-        self.machine.set_metrics(metrics);
-    }
-
-    /// A handle to the installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<SharedMetrics> {
-        self.machine.metrics()
+    /// Mutable observers.  A recorder, metrics registry or fault plan
+    /// installed here sees every later superstep, collective and driver
+    /// event (iterations, redistributions, faults); to also capture
+    /// setup, pass them to [`GenericPicSim::try_new_with`].  The driver
+    /// stamps every iteration's number into the fault epoch, so plan
+    /// entries written against iteration numbers fire in the right place.
+    pub fn instruments_mut(&mut self) -> &mut Instruments {
+        self.machine.instruments_mut()
     }
 
     /// [`GenericPicSim::try_new`], panicking on failure (the historical
@@ -472,19 +418,6 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         }
     }
 
-    /// Install (or clear) a fault-injection plan on the executor.  The
-    /// driver stamps every iteration's number into the executor as the
-    /// *fault epoch*, so plan entries written against iteration numbers
-    /// fire in the right place.
-    pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        self.machine.set_fault_plan(plan);
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.machine.fault_plan()
-    }
-
     /// Run one iteration (scatter → field solve → gather → push, then the
     /// redistribution policy), reporting failures as typed errors.
     ///
@@ -513,7 +446,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
                     epoch: err.epoch,
                     cause: err.cause.to_string(),
                 }));
-                if let Some(metrics) = self.machine.metrics() {
+                if let Some(metrics) = &self.machine.instruments().metrics {
                     metrics.with(|reg| reg.inc("pic_faults_total", 1));
                 }
                 Err(err)
@@ -534,19 +467,12 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         } else {
             (0, 0.0)
         };
-        {
-            let env = PhaseEnv {
-                cfg: &self.cfg,
-                layout: &self.layout,
-                halo: &self.halo,
-                indexer: self.indexer.as_ref(),
-                solver: &self.solver,
-            };
-            phases::scatter::run(&mut self.machine, &env)?;
-            phases::field_solve::run(&mut self.machine, &env)?;
-            phases::gather::run(&mut self.machine, &env)?;
-            phases::push::run(&mut self.machine, &env)?;
-        }
+        self.with_env(|m, env| {
+            phases::scatter::run(m, env)?;
+            phases::field_solve::run(m, env)?;
+            phases::gather::run(m, env)?;
+            phases::push::run(m, env)
+        })?;
         if self.cfg.check_invariants {
             self.check_invariants(total_before, charge_before)?;
         }
@@ -587,7 +513,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
                 threshold_s: decision.threshold_s,
                 fired: fire,
             }));
-            if let Some(metrics) = self.machine.metrics() {
+            if let Some(metrics) = &self.machine.instruments().metrics {
                 metrics.with(|reg| {
                     reg.inc("pic_policy_decisions_total", 1);
                     if fire {
@@ -596,14 +522,8 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
                 });
             }
             if fire {
-                let env = PhaseEnv {
-                    cfg: &self.cfg,
-                    layout: &self.layout,
-                    halo: &self.halo,
-                    indexer: self.indexer.as_ref(),
-                    solver: &self.solver,
-                };
-                redistribute_s = phases::redistribute::run(&mut self.machine, &env, false)?;
+                redistribute_s =
+                    self.with_env(|m, env| phases::redistribute::run(m, env, false))?;
                 self.policy.notify_redistributed(self.iter, redistribute_s);
                 self.redistributions += 1;
                 self.redistribute_total_s += redistribute_s;
@@ -784,14 +704,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// # Errors
     /// Returns the [`SpmdError`] when the redistribution fails.
     pub fn try_redistribute_now(&mut self) -> Result<f64, SpmdError> {
-        let env = PhaseEnv {
-            cfg: &self.cfg,
-            layout: &self.layout,
-            halo: &self.halo,
-            indexer: self.indexer.as_ref(),
-            solver: &self.solver,
-        };
-        let cost = phases::redistribute::run(&mut self.machine, &env, false)?;
+        let cost = self.with_env(|m, env| phases::redistribute::run(m, env, false))?;
         self.policy.notify_redistributed(self.iter, cost);
         self.redistributions += 1;
         self.redistribute_total_s += cost;
@@ -877,10 +790,5 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
                 )
             })
             .collect()
-    }
-
-    /// Drained access to machine statistics (advanced use).
-    pub fn stats_mut(&mut self) -> &mut StatsLog {
-        self.machine.stats_mut()
     }
 }

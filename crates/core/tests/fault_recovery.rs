@@ -11,8 +11,18 @@ use std::sync::Arc;
 
 use pic_core::state::RankState;
 use pic_core::{run_with_recovery, Checkpoint, GenericPicSim, ParallelPicSim, SimConfig};
-use pic_machine::{FailureCause, FaultPlan, MachineConfig, SpmdEngine, ThreadedMachine};
+use pic_machine::{
+    FailureCause, FaultPlan, Instruments, MachineConfig, SpmdEngine, ThreadedMachine,
+};
 use pic_partition::PolicyKind;
+
+/// Instruments carrying only the fault plan `plan`.
+fn planned(plan: Arc<FaultPlan>) -> Instruments {
+    Instruments {
+        fault_plan: Some(plan),
+        ..Instruments::default()
+    }
+}
 
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -79,7 +89,7 @@ fn killed_rank_recovers_from_checkpoint_bit_identical() {
 
     let plan = Arc::new(FaultPlan::new(42).kill(2, 25));
     let outcome =
-        run_with_recovery::<ThreadedMachine<RankState>>(cfg, 50, 10, Some(Arc::clone(&plan)), 3)
+        run_with_recovery::<ThreadedMachine<RankState>>(cfg, 50, 10, planned(Arc::clone(&plan)), 3)
             .expect("recovery must absorb the injected kill");
 
     assert_eq!(outcome.restarts, 1, "exactly one restart");
@@ -108,7 +118,7 @@ fn benign_noise_never_changes_simulation_results() {
 
     for seed in [1u64, 2, 3] {
         let mut noisy = GenericPicSim::<ThreadedMachine<RankState>>::new(cfg.clone());
-        noisy.set_fault_plan(Some(Arc::new(FaultPlan::benign(seed))));
+        noisy.instruments_mut().fault_plan = Some(Arc::new(FaultPlan::benign(seed)));
         noisy.run(12);
         let noisy_ranks = noisy.into_machine().into_ranks();
         assert_states_identical(&clean_ranks, &noisy_ranks);
@@ -122,7 +132,7 @@ fn benign_noise_never_changes_simulation_results() {
 fn kill_during_setup_fails_construction() {
     let cfg = recovery_cfg(4, 512, 10);
     let plan = Arc::new(FaultPlan::new(3).kill(0, 0));
-    let err = match GenericPicSim::<ThreadedMachine<RankState>>::try_new_with(cfg, Some(plan)) {
+    let err = match GenericPicSim::<ThreadedMachine<RankState>>::try_new_with(cfg, planned(plan)) {
         Ok(_) => panic!("a kill at epoch 0 must fail the initial distribution"),
         Err(err) => err,
     };
@@ -215,7 +225,7 @@ fn restart_budget_is_respected() {
     // two kills at different epochs, budget of one restart: the second
     // kill surfaces to the caller
     let plan = Arc::new(FaultPlan::new(9).kill(1, 3).kill(3, 6));
-    let err = match run_with_recovery::<ThreadedMachine<RankState>>(cfg, 10, 2, Some(plan), 1) {
+    let err = match run_with_recovery::<ThreadedMachine<RankState>>(cfg, 10, 2, planned(plan), 1) {
         Ok(_) => panic!("the second kill must exhaust the restart budget"),
         Err(err) => err,
     };
@@ -231,8 +241,9 @@ fn phase_scoped_kill_recovers() {
     use pic_machine::PhaseKind;
     let cfg = recovery_cfg(4, 512, 10);
     let plan = Arc::new(FaultPlan::new(5).kill_in_phase(1, 4, PhaseKind::Scatter));
-    let outcome = run_with_recovery::<ThreadedMachine<RankState>>(cfg.clone(), 8, 2, Some(plan), 2)
-        .expect("recovers");
+    let outcome =
+        run_with_recovery::<ThreadedMachine<RankState>>(cfg.clone(), 8, 2, planned(plan), 2)
+            .expect("recovers");
     assert_eq!(outcome.restarts, 1);
     assert_eq!(outcome.failures[0].phase, Some(PhaseKind::Scatter));
     assert_eq!(outcome.failures[0].rank, Some(1));

@@ -7,10 +7,10 @@
 use std::sync::Arc;
 
 use pic_core::state::RankState;
-use pic_core::{run_with_recovery_traced, ParallelPicSim, SimConfig};
+use pic_core::{run_with_recovery, ParallelPicSim, SimConfig};
 use pic_machine::{
-    CheckpointAction, FaultPlan, MachineConfig, MemoryRecorder, PhaseKind, SharedRecorder,
-    TraceEvent,
+    CheckpointAction, FaultPlan, Instruments, MachineConfig, MemoryRecorder, PhaseKind,
+    SharedRecorder, TraceEvent,
 };
 use pic_partition::PolicyKind;
 
@@ -25,12 +25,12 @@ fn traced_cfg(ranks: usize, policy: PolicyKind) -> SimConfig {
 #[test]
 fn traced_run_emits_full_event_story() {
     let shared = SharedRecorder::new(MemoryRecorder::new());
-    let mut sim = ParallelPicSim::try_new_traced(
-        traced_cfg(4, PolicyKind::Periodic(2)),
-        None,
-        Some(Box::new(shared.clone())),
-    )
-    .expect("fault-free construction");
+    let instruments = Instruments {
+        recorder: Some(Box::new(shared.clone())),
+        ..Instruments::default()
+    };
+    let mut sim = ParallelPicSim::try_new_with(traced_cfg(4, PolicyKind::Periodic(2)), instruments)
+        .expect("fault-free construction");
     for _ in 0..5 {
         sim.try_step().expect("fault-free iteration");
     }
@@ -107,13 +107,17 @@ fn traced_run_emits_full_event_story() {
 fn traced_recovery_emits_fault_and_checkpoint_events() {
     let shared = SharedRecorder::new(MemoryRecorder::new());
     let plan = Arc::new(FaultPlan::new(7).kill(1, 4));
-    let outcome = run_with_recovery_traced::<pic_machine::Machine<RankState>>(
+    let instruments = Instruments {
+        recorder: Some(Box::new(shared.clone())),
+        fault_plan: Some(plan),
+        ..Instruments::default()
+    };
+    let outcome = run_with_recovery::<pic_machine::Machine<RankState>>(
         traced_cfg(4, PolicyKind::Periodic(3)),
         8,
         2,
-        Some(plan),
+        instruments,
         2,
-        Some(Box::new(shared.clone())),
     )
     .expect("recovery must absorb the injected kill");
     assert_eq!(outcome.restarts, 1);
@@ -168,4 +172,42 @@ fn traced_recovery_emits_fault_and_checkpoint_events() {
     assert_eq!(iter_ids.iter().filter(|&&i| i == 3).count(), 2);
     assert_eq!(iter_ids.iter().filter(|&&i| i == 4).count(), 1);
     assert_eq!(iter_ids.last(), Some(&8));
+}
+
+#[test]
+fn traced_recovery_superstep_indices_strictly_increase() {
+    let shared = SharedRecorder::new(MemoryRecorder::new());
+    let plan = Arc::new(FaultPlan::new(7).kill(1, 4));
+    let instruments = Instruments {
+        recorder: Some(Box::new(shared.clone())),
+        fault_plan: Some(plan),
+        ..Instruments::default()
+    };
+    let outcome = run_with_recovery::<pic_machine::Machine<RankState>>(
+        traced_cfg(4, PolicyKind::Periodic(3)),
+        8,
+        2,
+        instruments,
+        2,
+    )
+    .expect("recovery must absorb the injected kill");
+    assert_eq!(outcome.restarts, 1);
+
+    // the resumed simulation continues the dead one's superstep
+    // numbering, so the stream never repeats or rewinds an index
+    let indices: Vec<u64> = shared.with(|rec| {
+        rec.events()
+            .iter()
+            .filter_map(|e| e.superstep().map(|s| s.superstep))
+            .collect()
+    });
+    assert!(!indices.is_empty());
+    for pair in indices.windows(2) {
+        assert!(
+            pair[0] < pair[1],
+            "superstep index {} after {}",
+            pair[1],
+            pair[0]
+        );
+    }
 }

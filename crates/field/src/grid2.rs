@@ -1,13 +1,12 @@
 //! Dense 2-D arrays with row-major storage and periodic helpers.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// A dense `width x height` array stored row-major.
 ///
 /// Indexing is `(x, y)` with `x` the fast dimension, matching the mesh
 /// convention used throughout the reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid2<T> {
     width: usize,
     height: usize,

@@ -7,8 +7,6 @@
 //! its *owned* cells must be sent to which neighbour — the plan is static
 //! because the mesh distribution never changes during a run.
 
-use serde::{Deserialize, Serialize};
-
 use crate::layout::BlockLayout;
 
 /// A halo transfer unit: the sender's owned global cell and the padded
@@ -16,7 +14,7 @@ use crate::layout::BlockLayout;
 pub type CellSlot = ((usize, usize), (usize, usize));
 
 /// One rank's outgoing halo traffic to a single neighbour.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HaloMsg {
     /// Destination rank.
     pub to: usize,
@@ -31,7 +29,7 @@ pub struct HaloMsg {
 
 /// Precomputed halo exchange plan for a [`BlockLayout`] with periodic
 /// boundaries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HaloPlan {
     /// `sends[rank]` lists this rank's outgoing messages, sorted by
     /// destination rank.

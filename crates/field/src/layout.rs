@@ -7,10 +7,8 @@
 //! what makes rank-adjacent particle subdomains land on rank-adjacent mesh
 //! subdomains.
 
-use serde::{Deserialize, Serialize};
-
 /// A half-open rectangle of grid cells: `x0 <= x < x0+w`, `y0 <= y < y0+h`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Left edge (inclusive).
     pub x0: usize,
@@ -81,7 +79,7 @@ pub fn factor_near_square(p: usize) -> (usize, usize) {
 }
 
 /// BLOCK distribution of an `nx x ny` mesh over `pr x pc` rank blocks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockLayout {
     nx: usize,
     ny: usize,

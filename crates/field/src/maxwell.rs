@@ -25,12 +25,10 @@
 //!   — a rank-local block with a one-cell ghost ring filled by halo
 //!   exchange before each half (the parallel code).
 
-use serde::{Deserialize, Serialize};
-
 use crate::grid2::Grid2;
 
 /// The six field components on one grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldSet {
     /// Electric field x-component.
     pub ex: Grid2<f64>,
@@ -84,7 +82,7 @@ impl FieldSet {
 }
 
 /// Current density components deposited by the scatter phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurrentSet {
     /// Current density x-component.
     pub jx: Grid2<f64>,
@@ -113,7 +111,7 @@ impl CurrentSet {
 }
 
 /// Finite-difference Maxwell stepper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaxwellSolver {
     /// Time step.
     pub dt: f64,

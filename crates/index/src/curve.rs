@@ -1,8 +1,6 @@
 //! The [`CellIndexer`] trait and the [`IndexScheme`] enum that selects an
 //! indexing at runtime (experiment configurations are data, not types).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{HilbertIndexer, MortonIndexer, RowMajorIndexer, SnakeIndexer};
 
 /// A bijection between 2-D cell coordinates and a 1-D index.
@@ -41,7 +39,7 @@ pub trait CellIndexer: Send + Sync {
 ///
 /// The experiment harness sweeps over schemes, so they need to be plain
 /// data that can live in a config file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexScheme {
     /// 2-D Hilbert curve (the paper's proposal).
     Hilbert,

@@ -4,10 +4,8 @@
 //! separately; the figure harness needs the split because the paper's
 //! "overhead" figures (21, 22) plot `execution time - computation time`.
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated time of one virtual rank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Clock {
     /// Modeled seconds spent computing.
     pub compute_s: f64,

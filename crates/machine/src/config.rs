@@ -1,14 +1,12 @@
 //! Machine parameters: the two-level cost model of paper Section 4.
 
-use serde::{Deserialize, Serialize};
-
 /// Interconnect topology.
 ///
 /// The paper's two-level model charges a *fixed* cost per off-processor
 /// access independent of distance ("these assumptions closely model the
 /// behavior of the CM-5").  Topology therefore only affects the cost
 /// formulas of the *collectives* (tree depth), not point-to-point messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// Distance-independent network (CM-5 fat tree under the paper model).
     FullyConnected,
@@ -49,7 +47,7 @@ pub(crate) fn log2_ceil(p: usize) -> u32 {
 /// Parameters of the virtual machine.
 ///
 /// `tau`, `mu`, `delta` are the paper's τ, μ, δ.  All times in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// Number of virtual processors `p`.
     pub ranks: usize,

@@ -58,6 +58,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 mod host_par;
+pub mod instruments;
 pub mod machine;
 pub mod metrics;
 pub mod payload;
@@ -71,6 +72,7 @@ pub use config::{MachineConfig, Topology};
 pub use engine::SpmdEngine;
 pub use error::{FailureCause, SpmdError, TimeoutDetail};
 pub use fault::{FaultKind, FaultNoise, FaultPlan, FaultSession, FaultSpec, SendFault};
+pub use instruments::Instruments;
 pub use machine::{ExecMode, Machine, Outbox, PhaseCtx};
 pub use metrics::{CommMatrix, Histogram, MetricsRegistry, PhaseFamily, SharedMetrics};
 pub use payload::Payload;

@@ -4,8 +4,8 @@
 //! The trace layer ([`crate::trace`]) answers *"what happened, in
 //! order?"* — an event stream.  This module answers *"how much, in
 //! total?"* — cheap aggregates a long-running service can expose on a
-//! scrape endpoint.  The two are fed from the same instrumentation
-//! points in the engines, and both are strictly pay-when-enabled: a
+//! scrape endpoint.  The two are fed from the same superstep record
+//! ([`crate::instruments`]), and both are strictly pay-when-enabled: a
 //! machine with no [`SharedMetrics`] installed takes a single
 //! `Option::is_some` branch per superstep and allocates nothing (the
 //! `alloc_free` oracle test runs without metrics and still asserts zero

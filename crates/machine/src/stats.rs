@@ -5,10 +5,8 @@
 //! scatter-phase data volume and message count over ranks, Figures 21/22
 //! the communication-plus-idle overhead.
 
-use serde::{Deserialize, Serialize};
-
 /// Which PIC phase a superstep belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Particle contributions to current-density grid points.
     Scatter,
@@ -58,7 +56,7 @@ impl PhaseKind {
 }
 
 /// Aggregated statistics of one superstep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuperstepStats {
     /// Phase this superstep implements.
     pub phase: PhaseKind,
@@ -121,7 +119,7 @@ pub struct PhaseTotals {
 }
 
 /// Append-only log of superstep statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StatsLog {
     records: Vec<SuperstepStats>,
 }

@@ -29,9 +29,9 @@
 //!
 //! ## Recorders
 //!
-//! A [`Recorder`] is installed on an engine with
-//! [`SpmdEngine::set_recorder`](crate::SpmdEngine::set_recorder) and
-//! receives every event as it happens:
+//! A [`Recorder`] is installed in an engine's
+//! [`Instruments`](crate::Instruments) and receives every event as it
+//! happens:
 //!
 //! * [`MemoryRecorder`] — unbounded in-memory vector (exporter input);
 //! * [`RingRecorder`] — bounded ring that keeps the most recent events;
@@ -55,7 +55,7 @@
 //!
 //! let rec = SharedRecorder::new(MemoryRecorder::new());
 //! let mut m = Machine::new(MachineConfig::cm5(4), ExecMode::Sequential, vec![0u64; 4]);
-//! m.set_recorder(Some(Box::new(rec.clone())));
+//! m.instruments_mut().recorder = Some(Box::new(rec.clone()));
 //! SpmdEngine::local_step(&mut m, PhaseKind::Push, |_r, s, ctx| {
 //!     *s += 1;
 //!     ctx.charge_ops(10.0);
@@ -341,8 +341,8 @@ impl TraceEvent {
         }
     }
 
-    /// Serialize to one JSON object (no trailing newline).  Hand-written
-    /// because the vendored `serde` is a marker-trait stand-in.
+    /// Serialize to one JSON object (no trailing newline).  Hand-written:
+    /// the workspace has no serialization dependency.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(160);
         s.push('{');
@@ -599,9 +599,8 @@ fn csv_escape(s: &str) -> String {
 
 /// A sink for [`TraceEvent`]s.
 ///
-/// Recorders are installed on an engine via
-/// [`SpmdEngine::set_recorder`](crate::SpmdEngine::set_recorder) and
-/// invoked from the engine's driving thread — never from rank threads —
+/// Recorders are installed in an engine's
+/// [`Instruments`](crate::Instruments) and invoked from the engine's driving thread — never from rank threads —
 /// so implementations need `Send` but not `Sync`.
 pub trait Recorder: Send {
     /// Consume one event.

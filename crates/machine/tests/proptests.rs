@@ -2,7 +2,7 @@
 //! determinism across execution modes, and cost-model sanity under
 //! arbitrary communication patterns.
 
-use pic_machine::{ExecMode, Machine, MachineConfig, Outbox, PhaseKind, Topology};
+use pic_machine::{ExecMode, Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, Topology};
 use proptest::prelude::*;
 
 fn cfg(p: usize) -> MachineConfig {
@@ -43,7 +43,7 @@ fn run_pattern(p: usize, pattern: &[u8], mode: ExecMode) -> (Vec<u64>, f64) {
 }
 
 proptest! {
-    /// Sequential and rayon execution agree bit-for-bit on arbitrary
+    /// Sequential and host-thread execution agree bit-for-bit on arbitrary
     /// communication patterns.
     #[test]
     fn exec_modes_agree(
@@ -53,7 +53,7 @@ proptest! {
         let mut pattern = pattern;
         pattern.resize(p, 1);
         let (s1, t1) = run_pattern(p, &pattern, ExecMode::Sequential);
-        let (s2, t2) = run_pattern(p, &pattern, ExecMode::Rayon);
+        let (s2, t2) = run_pattern(p, &pattern, ExecMode::HostThreads);
         prop_assert_eq!(s1, s2);
         prop_assert_eq!(t1.to_bits(), t2.to_bits());
     }

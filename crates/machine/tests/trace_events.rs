@@ -9,8 +9,8 @@
 //! up supersteps.
 
 use pic_machine::{
-    ExecMode, Machine, MachineConfig, MemoryRecorder, PhaseKind, SharedRecorder, SpmdEngine,
-    ThreadedMachine, Topology, TraceEvent,
+    ExecMode, Machine, MachineConfig, MemoryRecorder, MetricsReport, PhaseKind, SharedMetrics,
+    SharedRecorder, SpmdEngine, ThreadedMachine, Topology, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -55,7 +55,7 @@ proptest! {
     ) {
         let shared = SharedRecorder::new(MemoryRecorder::new());
         let mut m = Machine::new(cfg(p), ExecMode::Sequential, vec![0u64; p]);
-        m.set_recorder(Some(Box::new(shared.clone())));
+        m.instruments_mut().recorder = Some(Box::new(shared.clone()));
         for step in 0..steps {
             m.superstep(
                 PhaseKind::Scatter,
@@ -129,7 +129,7 @@ proptest! {
         let shared = SharedRecorder::new(MemoryRecorder::new());
         let states: Vec<(u64, u64)> = (0..p).map(|r| (salt + r as u64, 0)).collect();
         let mut m = Machine::new(cfg(p), ExecMode::Sequential, states);
-        SpmdEngine::set_recorder(&mut m, Some(Box::new(shared.clone())));
+        m.instruments_mut().recorder = Some(Box::new(shared.clone()));
         m.allgather(
             PhaseKind::Setup,
             8,
@@ -171,7 +171,7 @@ fn threaded_recorder_captures_spans_and_collectives() {
     let p = 4;
     let shared = SharedRecorder::new(MemoryRecorder::new());
     let mut m = ThreadedMachine::new(cfg(p), vec![0u64; p]);
-    m.set_recorder(Some(Box::new(shared.clone())));
+    m.instruments_mut().recorder = Some(Box::new(shared.clone()));
 
     SpmdEngine::superstep(
         &mut m,
@@ -224,7 +224,7 @@ fn threaded_recorder_captures_spans_and_collectives() {
     assert_eq!(aggs[0].superstep + 1, aggs[1].superstep);
 }
 
-/// `take_recorder` hands the live recorder back (with its sink intact)
+/// Taking the recorder out of the instruments hands the live sink back
 /// and leaves the machine silent; re-installing resumes the stream.
 #[test]
 fn take_and_reinstall_recorder_round_trips() {
@@ -240,20 +240,112 @@ fn take_and_reinstall_recorder_round_trips() {
 
     let shared = SharedRecorder::new(MemoryRecorder::new());
     let mut m = ThreadedMachine::new(cfg(3), vec![1u64; 3]);
-    m.set_recorder(Some(Box::new(shared.clone())));
+    m.instruments_mut().recorder = Some(Box::new(shared.clone()));
     drive(&mut m);
     let n_traced = shared.with(|rec| rec.events().len());
     assert!(n_traced > 0);
 
-    let taken = m.take_recorder();
+    let taken = m.instruments_mut().recorder.take();
     assert!(taken.is_some());
-    assert!(m.recorder_mut().is_none());
+    assert!(m.instruments().recorder.is_none());
     drive(&mut m); // silent: no recorder installed
     assert_eq!(shared.with(|rec| rec.events().len()), n_traced);
 
-    m.set_recorder(taken);
+    m.instruments_mut().recorder = taken;
     drive(&mut m);
     assert!(shared.with(|rec| rec.events().len()) > n_traced);
-    // recorder_mut gives direct access to the installed sink
-    assert!(m.recorder_mut().is_some());
+    assert!(m.instruments().recorder.is_some());
+}
+
+/// The three views of a superstep agree: for every phase, the stats
+/// log, the metrics registry and the trace (through [`MetricsReport`])
+/// count the same supersteps, messages and bytes, on both executors and
+/// for every kind of operation.
+#[test]
+fn stats_metrics_and_trace_agree_per_phase() {
+    type State = (u64, Vec<u64>);
+
+    fn program<E: SpmdEngine<State>>(m: &mut E) {
+        let p = m.num_ranks();
+        m.superstep(
+            PhaseKind::Scatter,
+            |r, s: &mut State, ctx, out: &mut pic_machine::Outbox<Vec<u64>>| {
+                ctx.charge_ops(10.0 * (r as f64 + 1.0));
+                out.send((r + 1) % p, vec![s.0; r + 1]);
+                out.send(r, vec![s.0]); // self-message: free
+            },
+            |_r, s, _ctx, inbox| s.0 += inbox.len() as u64,
+        )
+        .expect("superstep");
+        m.local_step(PhaseKind::Push, |_r, s, ctx| {
+            ctx.charge_ops(5.0);
+            s.0 += 1;
+        })
+        .expect("local_step");
+        m.allgather(
+            PhaseKind::Setup,
+            8,
+            |_r, s: &State| s.0,
+            |_r, s, all: &[u64]| s.1 = all.to_vec(),
+        )
+        .expect("allgather");
+        m.allgatherv(
+            PhaseKind::Redistribute,
+            8,
+            |r, _s: &State| vec![r as u64; r + 1],
+            |_r, s, all: &[u64]| s.1.extend_from_slice(all),
+        )
+        .expect("allgatherv");
+        m.allreduce(
+            PhaseKind::FieldSolve,
+            |_r, s: &State| s.0,
+            |a, b| a + b,
+            |_r, s, sum: &u64| s.0 = *sum,
+        )
+        .expect("allreduce");
+        m.allreduce_elementwise(
+            PhaseKind::Gather,
+            16,
+            |r, _s: &State| vec![r as u64, 1],
+            |a, b| a + b,
+            |_r, s, acc: &[u64]| s.1.extend_from_slice(acc),
+        )
+        .expect("allreduce_elementwise");
+    }
+
+    fn check<E: SpmdEngine<State>>(mut m: E) {
+        let shared = SharedRecorder::new(MemoryRecorder::new());
+        let metrics = SharedMetrics::new(m.num_ranks());
+        m.instruments_mut().recorder = Some(Box::new(shared.clone()));
+        m.instruments_mut().metrics = Some(metrics.clone());
+        program(&mut m);
+        program(&mut m);
+
+        let events = shared.with(|rec| rec.take());
+        let report = MetricsReport::from_events(&events);
+        let totals = m.stats().aggregate();
+        let reg = metrics.snapshot();
+        for phase in PhaseKind::ALL {
+            let stats = totals
+                .iter()
+                .find(|t| t.phase == phase)
+                .map_or((0, 0, 0), |t| (t.supersteps, t.total_msgs, t.total_bytes));
+            let fam = reg.phase(phase);
+            let traced = report
+                .phases()
+                .iter()
+                .find(|t| t.phase == phase)
+                .map_or((0, 0, 0), |t| (t.count, t.total_msgs, t.total_bytes));
+            assert_eq!((fam.supersteps, fam.msgs, fam.bytes), stats, "{phase:?}");
+            assert_eq!(traced, stats, "{phase:?}");
+        }
+        // the program touches six phases, twice each
+        assert_eq!(totals.len(), 6);
+        assert!(totals.iter().all(|t| t.supersteps == 2));
+    }
+
+    let p = 5;
+    let states = || vec![(1u64, Vec::new()); p];
+    check(Machine::new(cfg(p), ExecMode::Sequential, states()));
+    check(ThreadedMachine::new(cfg(p), states()));
 }

@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::soa::Particles;
 use crate::wrap::wrap_periodic;
 
 /// Initial spatial distribution of the particles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParticleDistribution {
     /// Uniform over the whole domain (paper case 1).
     Uniform,

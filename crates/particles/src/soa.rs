@@ -6,8 +6,6 @@
 //! for the sorting/permutation machinery of the redistribution algorithms
 //! (sorting permutes indices once, then gathers each attribute array).
 
-use serde::{Deserialize, Serialize};
-
 /// Wire size of one particle: x, y, ux, uy, uz as packed doubles.
 /// Redistribution messages are charged this many bytes per particle.
 pub const PARTICLE_WIRE_BYTES: usize = 5 * 8;
@@ -16,7 +14,7 @@ pub const PARTICLE_WIRE_BYTES: usize = 5 * 8;
 ///
 /// `ux, uy, uz` are the relativistic momentum components divided by `m c`
 /// (so the Lorentz factor is `sqrt(1 + u^2)`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Particles {
     /// x positions.
     pub x: Vec<f64>,

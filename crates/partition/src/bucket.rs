@@ -10,8 +10,6 @@
 //! sorted.  The sorting ablation bench quantifies the win against a full
 //! `sort_unstable` and a from-scratch sample sort.
 
-use serde::{Deserialize, Serialize};
-
 use crate::radix::{radix_sort_indices, radix_sorted_order_into, RadixScratch};
 
 /// Stable sorted-order permutation: `order[i]` is the original index of
@@ -59,7 +57,7 @@ pub struct IncrementalClassification {
 }
 
 /// The remembered bucket boundaries of one rank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BucketIncrementalSorter {
     l: usize,
     /// `l - 1` exclusive upper bounds of buckets `0..l-1`; empty until the

@@ -11,12 +11,10 @@
 //!   `(t1 - t0) * (i1 - i0) >= T_redistribution` (paper Eq. 1), using the
 //!   previous redistribution's cost as the estimate of the next one.
 
-use serde::{Deserialize, Serialize};
-
 /// Serializable snapshot of a policy's mutable decision state, so a
 /// checkpointed simulation resumes with the same redistribution
 /// behaviour it would have had uninterrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyState {
     /// The policy keeps no mutable state (static, periodic).
     Stateless,
@@ -84,7 +82,7 @@ pub trait RedistributionPolicy: Send {
 }
 
 /// Runtime-selectable policy configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Never redistribute.
     Static,
