@@ -18,7 +18,7 @@
 //! particles are placed, so it cannot scale.
 
 use pic_field::{CurrentSet, FieldSet, MaxwellSolver};
-use pic_machine::{ExecMode, Machine, PhaseKind};
+use pic_machine::{ExecMode, Machine, PhaseKind, SpmdEngine, SpmdError};
 use pic_particles::push::{boris_push, gamma_of, BorisStep};
 use pic_particles::{wrap_periodic, Cic, Particles};
 
@@ -85,7 +85,15 @@ impl ReplicatedGridPicSim {
     }
 
     /// Run one iteration of the Lubeck & Faber scheme.
+    ///
+    /// # Panics
+    /// Panics if a rank program fails.  No fault plan can be installed
+    /// on this sim's machine, so only a bug can cause that.
     pub fn step(&mut self) {
+        self.try_step().expect("replicated-grid iteration failed");
+    }
+
+    fn try_step(&mut self) -> Result<(), SpmdError> {
         self.iter += 1;
         let (nx, ny) = (self.cfg.nx, self.cfg.ny);
         let (dx, dy) = (self.cfg.dx, self.cfg.dy);
@@ -110,7 +118,7 @@ impl ReplicatedGridPicSim {
                     }
                 }
                 ctx.charge_ops(st.particles.len() as f64 * 4.0 * costs::SCATTER_VERTEX);
-            });
+            })?;
 
         // --- global element-wise sum of the current arrays ------------------
         // three components, m doubles each: the O(m) global operation that
@@ -134,7 +142,7 @@ impl ReplicatedGridPicSim {
                     .copy_from_slice(&sum[m..2 * m]);
                 st.currents.jz.as_mut_slice().copy_from_slice(&sum[2 * m..]);
             },
-        );
+        )?;
 
         // --- field solve: strip-distributed, then concatenated --------------
         let strip = move |r: usize| -> (usize, usize) { (r * ny / p, (r + 1) * ny / p) };
@@ -144,16 +152,16 @@ impl ReplicatedGridPicSim {
                 let (y0, y1) = strip(r);
                 solver.update_b_periodic_rows(&mut st.fields, y0, y1);
                 ctx.charge_ops(((y1 - y0) * nx) as f64 * costs::FIELD_POINT_B);
-            });
-        self.concat_strips(strip, Which::B);
+            })?;
+        self.concat_strips(strip, Which::B)?;
         self.machine
             .local_step(PhaseKind::FieldSolve, move |r, st, ctx| {
                 let (y0, y1) = strip(r);
                 let currents = st.currents.clone();
                 solver.update_e_periodic_rows(&mut st.fields, &currents, y0, y1);
                 ctx.charge_ops(((y1 - y0) * nx) as f64 * costs::FIELD_POINT_E);
-            });
-        self.concat_strips(strip, Which::E);
+            })?;
+        self.concat_strips(strip, Which::E)?;
 
         // --- gather + push: fully local on the replicated mesh --------------
         let dt = self.cfg.dt;
@@ -184,12 +192,16 @@ impl ReplicatedGridPicSim {
                     st.particles.y[i] = wrap_periodic(st.particles.y[i] + u2[1] / gamma * dt, ly);
                 }
                 ctx.charge_ops(n as f64 * (4.0 * costs::GATHER_VERTEX + costs::PUSH_PARTICLE));
-            });
+            })
     }
 
     /// Allgather the just-updated field strips so every rank holds the
     /// full, consistent mesh again (the paper's "global concatenation").
-    fn concat_strips(&mut self, strip: impl Fn(usize) -> (usize, usize) + Copy, which: Which) {
+    fn concat_strips(
+        &mut self,
+        strip: impl Fn(usize) -> (usize, usize) + Copy + Sync,
+        which: Which,
+    ) -> Result<(), SpmdError> {
         let nx = self.cfg.nx;
         let p = self.machine.num_ranks();
         self.machine.allgatherv(
@@ -226,7 +238,7 @@ impl ReplicatedGridPicSim {
                     let _ = rows;
                 }
             },
-        );
+        )
     }
 
     /// Iterations run so far.
@@ -306,7 +318,6 @@ impl Which {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pic_machine::SpmdEngine;
 
     #[test]
     fn replicated_matches_sequential_physics() {

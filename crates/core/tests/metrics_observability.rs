@@ -163,3 +163,32 @@ fn chrome_trace_from_sim_run_includes_counter_events() {
     assert!(json.contains("\"name\":\"particles\""));
     assert!(json.contains("\"name\":\"exchange bytes\""));
 }
+
+#[test]
+fn chrome_trace_iteration_instants_advance_with_the_run() {
+    let iters = 8;
+    let (events, _) =
+        observed_run::<Machine<pic_core::RankState>>(cfg_8rank(PolicyKind::Periodic(3)), iters);
+    let json = pic_machine::trace::chrome_trace(&events);
+    let ts_of = |k: usize| -> f64 {
+        let at = json
+            .find(&format!("\"name\":\"iteration {k}\""))
+            .expect("iteration instant");
+        let rest = &json[at..];
+        let ts = &rest[rest.find("\"ts\":").expect("ts") + 5..];
+        ts[..ts.find(',').expect("ts end")]
+            .parse()
+            .expect("numeric ts")
+    };
+    let ts: Vec<f64> = (1..=iters).map(ts_of).collect();
+    assert!(ts.windows(2).all(|w| w[0] < w[1]), "{ts:?}");
+    let last_span_end_us = events
+        .iter()
+        .filter_map(TraceEvent::span)
+        .map(|s| s.end_s * 1e6)
+        .fold(0.0, f64::max);
+    assert!(
+        ts[0] > 0.0 && ts[iters - 1] <= last_span_end_us + 1e-3,
+        "{ts:?}"
+    );
+}

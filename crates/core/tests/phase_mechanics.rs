@@ -12,7 +12,7 @@ use pic_core::state::RankState;
 use pic_core::{ParallelPicSim, SimConfig};
 use pic_field::{BlockLayout, HaloPlan, MaxwellSolver};
 use pic_index::{CellIndexer, IndexScheme};
-use pic_machine::{Machine, MachineConfig, Outbox, PhaseKind};
+use pic_machine::{Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine};
 use pic_particles::push::{boris_push, gamma_of, BorisStep};
 use pic_particles::{Cic, ParticleDistribution};
 use pic_partition::PolicyKind;
@@ -310,7 +310,8 @@ fn reference_scatter(m: &mut Machine<RankState>, fx: &Fixture) {
                 }
             }
         },
-    );
+    )
+    .unwrap();
 }
 
 /// Gather with a per-corner loop over the padded field block (`Grid2`
@@ -360,7 +361,8 @@ fn reference_gather(m: &mut Machine<RankState>, fx: &Fixture) {
                 st.b_at.push(b);
             }
         },
-    );
+    )
+    .unwrap();
 }
 
 /// Push with one loop that wraps every position through `fmod`.
@@ -384,7 +386,8 @@ fn reference_push(m: &mut Machine<RankState>, fx: &Fixture) {
             st.particles.y[i] = wrap_fmod(st.particles.y[i] + u2[1] / gamma * dt, ly);
         }
         ctx.charge_ops(n as f64 * costs::PUSH_PARTICLE);
-    });
+    })
+    .unwrap();
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {

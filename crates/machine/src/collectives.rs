@@ -1,12 +1,15 @@
-//! Global collectives with modeled costs.
+//! Modeled costs of the global collectives.
 //!
 //! The paper's algorithms use two collectives: **global concatenation**
 //! (line 1 of `Bucket_incremental_sorting`, to gather all ranks' bucket
 //! boundaries) and the global sums of the redistribution bookkeeping.
 //! Under the two-level model a recursive-doubling implementation costs
 //! each rank `stages * tau + (p - 1) * share_bytes * mu`, with `stages`
-//! depending on the topology.
+//! depending on the topology.  The data movement itself lives in
+//! [`Machine`]'s [`SpmdEngine`](crate::SpmdEngine) impl; this module only
+//! charges the clocks and records the operation.
 
+use crate::engine::SpmdEngine;
 use crate::instruments::Shares;
 use crate::machine::Machine;
 use crate::stats::PhaseKind;
@@ -14,9 +17,9 @@ use crate::stats::PhaseKind;
 impl<S: Send> Machine<S> {
     /// Charge a recursive-doubling collective moving `share_bytes` per
     /// rank — `stages * tau + (p - 1) * share_bytes * mu` on every rank —
-    /// and record it.  Used by the typed collectives below.
-    fn recursive_doubling(&mut self, phase: PhaseKind, share_bytes: usize) {
-        let cfg = *self.config();
+    /// and record it (global concatenation and the scalar all-reduce).
+    pub(crate) fn recursive_doubling(&mut self, phase: PhaseKind, share_bytes: usize) {
+        let cfg = self.cfg;
         let p = cfg.ranks;
         let stages = cfg.topology.collective_stages(p) as f64;
         let comm = if p > 1 {
@@ -27,123 +30,11 @@ impl<S: Send> Machine<S> {
         self.charge_collective(phase, comm, Shares::Collective { share_bytes });
     }
 
-    /// Charge every rank `comm` seconds of a collective and record it.
-    fn charge_collective(&mut self, phase: PhaseKind, comm: f64, shares: Shares<'_>) {
-        let start = self.elapsed_s();
-        for c in &mut self.clocks {
-            c.advance_comm(comm);
-        }
-        let cfg = *self.config();
-        self.instruments.record(&cfg, phase, start, comm, shares);
-    }
-
-    /// Global concatenation: every rank contributes one value extracted
-    /// from its state, every rank receives the full vector (indexed by
-    /// rank).  `bytes_per_item` models the wire size of one contribution.
-    pub fn allgather<T, F, G>(
-        &mut self,
-        phase: PhaseKind,
-        bytes_per_item: usize,
-        extract: F,
-        apply: G,
-    ) where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T,
-        G: Fn(usize, &mut S, &[T]),
-    {
-        let gathered: Vec<T> = self
-            .ranks()
-            .iter()
-            .enumerate()
-            .map(|(r, s)| extract(r, s))
-            .collect();
-        for (r, s) in self.ranks_mut().iter_mut().enumerate() {
-            apply(r, s, &gathered);
-        }
-        self.recursive_doubling(phase, bytes_per_item);
-    }
-
-    /// Global concatenation of *vectors*: rank `r` contributes a `Vec<T>`;
-    /// every rank receives the concatenation in rank order.  The modeled
-    /// share is the maximum contribution size (recursive doubling is
-    /// bottlenecked by the largest share).
-    pub fn allgatherv<T, F, G>(
-        &mut self,
-        phase: PhaseKind,
-        bytes_per_item: usize,
-        extract: F,
-        apply: G,
-    ) where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> Vec<T>,
-        G: Fn(usize, &mut S, &[T]),
-    {
-        let parts: Vec<Vec<T>> = self
-            .ranks()
-            .iter()
-            .enumerate()
-            .map(|(r, s)| extract(r, s))
-            .collect();
-        let max_share = parts.iter().map(Vec::len).max().unwrap_or(0);
-        let concat: Vec<T> = parts.into_iter().flatten().collect();
-        for (r, s) in self.ranks_mut().iter_mut().enumerate() {
-            apply(r, s, &concat);
-        }
-        self.recursive_doubling(phase, max_share * bytes_per_item);
-    }
-
-    /// All-reduce with a caller-supplied fold, 8-byte shares (one f64/u64).
-    pub fn allreduce<T, F, R, G>(&mut self, phase: PhaseKind, extract: F, reduce: R, apply: G)
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T,
-        R: Fn(T, T) -> T,
-        G: Fn(usize, &mut S, &T),
-    {
-        let mut it = self.ranks().iter().enumerate().map(|(r, s)| extract(r, s));
-        let first = it.next().expect("machine has at least one rank");
-        let folded = it.fold(first, reduce);
-        for (r, s) in self.ranks_mut().iter_mut().enumerate() {
-            apply(r, s, &folded);
-        }
-        self.recursive_doubling(phase, 8);
-    }
-
-    /// Element-wise all-reduce of a per-rank array (e.g. the replicated
-    /// mesh's current grids in the Lubeck & Faber baseline): every rank
-    /// contributes a vector, all receive the element-wise fold.  Each
-    /// rank is charged `stages * (tau + share_bytes * mu)` — a pipelined
-    /// tree reduction over the whole array, the dominant cost of the
-    /// replicated-grid method at scale.
-    ///
-    /// # Panics
-    /// Panics if ranks contribute arrays of different lengths.
-    pub fn allreduce_elementwise<T, F, R, G>(
-        &mut self,
-        phase: PhaseKind,
-        share_bytes: usize,
-        extract: F,
-        reduce: R,
-        apply: G,
-    ) where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> Vec<T>,
-        R: Fn(&T, &T) -> T,
-        G: Fn(usize, &mut S, &[T]),
-    {
-        let mut it = self.ranks().iter().enumerate().map(|(r, s)| extract(r, s));
-        let mut acc = it.next().expect("machine has at least one rank");
-        for v in it {
-            assert_eq!(v.len(), acc.len(), "ragged allreduce contributions");
-            for (a, b) in acc.iter_mut().zip(&v) {
-                *a = reduce(a, b);
-            }
-        }
-        for (r, s) in self.ranks_mut().iter_mut().enumerate() {
-            apply(r, s, &acc);
-        }
-        // charge a pipelined tree: stages * (tau + share * mu)
-        let cfg = *self.config();
+    /// Charge a pipelined tree reduction over a `share_bytes` array —
+    /// `stages * (tau + share_bytes * mu)` on every rank — and record it
+    /// (the element-wise all-reduce of the replicated-grid baseline).
+    pub(crate) fn pipelined_tree(&mut self, phase: PhaseKind, share_bytes: usize) {
+        let cfg = self.cfg;
         let p = cfg.ranks;
         let stages = cfg.topology.collective_stages(p) as f64;
         let comm = if p > 1 {
@@ -154,12 +45,14 @@ impl<S: Send> Machine<S> {
         self.charge_collective(phase, comm, Shares::Pipelined { share_bytes });
     }
 
-    /// Barrier: level all clocks to the slowest rank (idle -> comm).
-    pub fn barrier(&mut self) {
-        let barrier = self.elapsed_s();
+    /// Charge every rank `comm` seconds of a collective and record it.
+    fn charge_collective(&mut self, phase: PhaseKind, comm: f64, shares: Shares<'_>) {
+        let start = self.elapsed_s();
         for c in &mut self.clocks {
-            c.sync_to(barrier);
+            c.advance_comm(comm);
         }
+        self.instruments
+            .record(&self.cfg, phase, start, comm, shares);
     }
 }
 
@@ -187,7 +80,8 @@ mod tests {
             8,
             |r, _s| r as u64 * 10,
             |_r, s, all: &[u64]| s.1 = all.to_vec(),
-        );
+        )
+        .unwrap();
         for (_v, all) in m.ranks() {
             assert_eq!(all, &[0, 10, 20, 30]);
         }
@@ -203,7 +97,8 @@ mod tests {
             4,
             |r, _s| vec![r as u32; r + 1],
             |_r, s, concat: &[u32]| *s = concat.to_vec(),
-        );
+        )
+        .unwrap();
         assert_eq!(m.ranks()[0], vec![0, 1, 1, 2, 2, 2]);
     }
 
@@ -218,14 +113,16 @@ mod tests {
             |_r, s| *s,
             f64::max,
             |_r, s, &max| *s = max,
-        );
+        )
+        .unwrap();
         assert!(m.ranks().iter().all(|&v| v == 4.0));
     }
 
     #[test]
     fn single_rank_collectives_are_free() {
         let mut m = Machine::new(cfg(1), ExecMode::Sequential, vec![0u64]);
-        m.allgather(PhaseKind::Setup, 8, |_r, s| *s, |_r, _s, _all: &[u64]| {});
+        m.allgather(PhaseKind::Setup, 8, |_r, s| *s, |_r, _s, _all: &[u64]| {})
+            .unwrap();
         assert_eq!(m.elapsed_s(), 0.0);
     }
 }

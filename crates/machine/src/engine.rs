@@ -3,7 +3,7 @@
 //! Every PIC phase is written as a sequence of *supersteps* and
 //! *collectives* against this trait, so the identical program runs on
 //!
-//! * the modeled BSP [`Machine`] — deterministic,
+//! * the modeled BSP [`Machine`](crate::Machine) — deterministic,
 //!   charges the paper's two-level (τ/μ/δ) cost model, reports **modeled
 //!   seconds**; and
 //! * the real-threads [`ThreadedMachine`](crate::ThreadedMachine) — one OS
@@ -31,7 +31,7 @@
 use crate::config::MachineConfig;
 use crate::error::SpmdError;
 use crate::instruments::Instruments;
-use crate::machine::{ExecMode, Machine, Outbox, PhaseCtx};
+use crate::machine::{ExecMode, Outbox, PhaseCtx};
 use crate::payload::Payload;
 use crate::stats::{PhaseKind, StatsLog};
 
@@ -182,135 +182,4 @@ pub trait SpmdEngine<S: Send>: Sized {
 
     /// Synchronize all ranks.
     fn barrier(&mut self) -> Result<(), SpmdError>;
-}
-
-impl<S: Send> SpmdEngine<S> for Machine<S> {
-    fn build(cfg: MachineConfig, mode: ExecMode, states: Vec<S>) -> Self {
-        Machine::new(cfg, mode, states)
-    }
-
-    fn num_ranks(&self) -> usize {
-        Machine::num_ranks(self)
-    }
-
-    fn machine_config(&self) -> &MachineConfig {
-        self.config()
-    }
-
-    fn ranks(&self) -> &[S] {
-        Machine::ranks(self)
-    }
-
-    fn ranks_mut(&mut self) -> &mut [S] {
-        Machine::ranks_mut(self)
-    }
-
-    fn into_ranks(self) -> Vec<S> {
-        Machine::into_ranks(self)
-    }
-
-    fn elapsed_s(&self) -> f64 {
-        Machine::elapsed_s(self)
-    }
-
-    fn compute_s(&self) -> f64 {
-        Machine::compute_s(self)
-    }
-
-    fn instruments(&self) -> &Instruments {
-        &self.instruments
-    }
-
-    fn instruments_mut(&mut self) -> &mut Instruments {
-        &mut self.instruments
-    }
-
-    fn superstep<M, F, G>(
-        &mut self,
-        phase: PhaseKind,
-        compute: F,
-        deliver: G,
-    ) -> Result<(), SpmdError>
-    where
-        M: Payload,
-        F: Fn(usize, &mut S, &mut PhaseCtx, &mut Outbox<M>) + Sync,
-        G: Fn(usize, &mut S, &mut PhaseCtx, Vec<(usize, M)>) + Sync,
-    {
-        self.guarded(phase, |m| Machine::superstep(m, phase, compute, deliver))
-    }
-
-    fn allgather<T, F, G>(
-        &mut self,
-        phase: PhaseKind,
-        bytes_per_item: usize,
-        extract: F,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T + Sync,
-        G: Fn(usize, &mut S, &[T]) + Sync,
-    {
-        self.guarded(phase, |m| {
-            Machine::allgather(m, phase, bytes_per_item, extract, apply)
-        })
-    }
-
-    fn allgatherv<T, F, G>(
-        &mut self,
-        phase: PhaseKind,
-        bytes_per_item: usize,
-        extract: F,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> Vec<T> + Sync,
-        G: Fn(usize, &mut S, &[T]) + Sync,
-    {
-        self.guarded(phase, |m| {
-            Machine::allgatherv(m, phase, bytes_per_item, extract, apply)
-        })
-    }
-
-    fn allreduce<T, F, R, G>(
-        &mut self,
-        phase: PhaseKind,
-        extract: F,
-        reduce: R,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T + Sync,
-        R: Fn(T, T) -> T + Sync,
-        G: Fn(usize, &mut S, &T) + Sync,
-    {
-        self.guarded(phase, |m| {
-            Machine::allreduce(m, phase, extract, reduce, apply)
-        })
-    }
-
-    fn allreduce_elementwise<T, F, R, G>(
-        &mut self,
-        phase: PhaseKind,
-        share_bytes: usize,
-        extract: F,
-        reduce: R,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> Vec<T> + Sync,
-        R: Fn(&T, &T) -> T + Sync,
-        G: Fn(usize, &mut S, &[T]) + Sync,
-    {
-        self.guarded(phase, |m| {
-            Machine::allreduce_elementwise(m, phase, share_bytes, extract, reduce, apply)
-        })
-    }
-
-    fn barrier(&mut self) -> Result<(), SpmdError> {
-        self.guarded(PhaseKind::Other, |m| Machine::barrier(m))
-    }
 }

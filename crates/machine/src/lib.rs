@@ -28,7 +28,7 @@
 //! program runs — and produces bit-identical rank states — on either.
 //!
 //! ```
-//! use pic_machine::{ExecMode, Machine, MachineConfig, PhaseKind};
+//! use pic_machine::{ExecMode, Machine, MachineConfig, PhaseKind, SpmdEngine};
 //!
 //! // Each rank holds a counter; one superstep sends it to the next rank.
 //! let cfg = MachineConfig::cm5(4);
@@ -44,15 +44,16 @@
 //!             *state += msg[0];
 //!         }
 //!     },
-//! );
+//! )?;
 //! assert_eq!(m.ranks()[1], 0); // rank 1 received rank 0's value 0
 //! assert_eq!(m.ranks()[0], 3); // rank 0 received rank 3's value 3
+//! # Ok::<(), pic_machine::SpmdError>(())
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod collectives;
+mod collectives;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -76,11 +77,11 @@ pub use instruments::Instruments;
 pub use machine::{ExecMode, Machine, Outbox, PhaseCtx};
 pub use metrics::{CommMatrix, Histogram, MetricsRegistry, PhaseFamily, SharedMetrics};
 pub use payload::Payload;
-pub use stats::{PhaseKind, PhaseTotals, StatsLog, SuperstepStats};
+pub use stats::{PhaseKind, StatsLog, SuperstepStats};
 pub use threaded_engine::ThreadedMachine;
 pub use trace::{
-    CheckpointAction, CheckpointEvent, CsvRecorder, FaultEvent, IterationEvent, JsonLinesRecorder,
+    CheckpointAction, CheckpointEvent, FaultEvent, IterationEvent, JsonLinesRecorder,
     MemoryRecorder, MetricsReport, MultiRecorder, PhaseMetrics, PolicyDecisionEvent, RankLoadEvent,
-    Recorder, RedistributionEvent, RedistributionTrigger, RingRecorder, SharedRecorder, SpanEvent,
+    Recorder, RedistributionEvent, RedistributionTrigger, SharedRecorder, SpanEvent,
     SuperstepEvent, TraceEvent,
 };

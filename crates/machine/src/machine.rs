@@ -18,6 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::clock::Clock;
 use crate::config::MachineConfig;
+use crate::engine::SpmdEngine;
 use crate::error::{FailureCause, SpmdError};
 use crate::host_par;
 use crate::instruments::{Instruments, RankRow, Shares};
@@ -102,16 +103,18 @@ impl<M: Payload> Outbox<M> {
 }
 
 /// The virtual machine: configuration, rank states, clocks and statistics.
+///
+/// Every operation and accessor comes from its [`SpmdEngine`] impl; the
+/// inherent API is only [`Machine::new`] and [`Machine::clocks`].
 pub struct Machine<S> {
-    cfg: MachineConfig,
+    pub(crate) cfg: MachineConfig,
     mode: ExecMode,
     states: Vec<S>,
     pub(crate) clocks: Vec<Clock>,
     /// Stats log, recorder, metrics and fault plan (see
     /// [`crate::instruments`]).
     pub(crate) instruments: Instruments,
-    /// Operations issued through the engine trait (superstep index in
-    /// error context).
+    /// Operations issued so far (the superstep index in error context).
     supersteps: u64,
 }
 
@@ -139,14 +142,10 @@ impl<S: Send> Machine<S> {
         }
     }
 
-    /// Run one engine-trait operation: bump the superstep counter, fail
+    /// Run one engine operation: bump the superstep counter, fail
     /// if a kill fault strikes any rank now, and turn a rank panic into a
     /// typed error carrying the phase, superstep index and fault epoch.
-    pub(crate) fn guarded(
-        &mut self,
-        phase: PhaseKind,
-        op: impl FnOnce(&mut Self),
-    ) -> Result<(), SpmdError> {
+    fn guarded(&mut self, phase: PhaseKind, op: impl FnOnce(&mut Self)) -> Result<(), SpmdError> {
         let step = self.supersteps;
         self.supersteps += 1;
         let epoch = self.instruments.fault_epoch;
@@ -162,160 +161,284 @@ impl<S: Send> Machine<S> {
             .map_err(|p| SpmdError::from_panic_payload(p).in_phase(phase, step, epoch))
     }
 
-    /// Machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
-    /// Number of virtual ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.cfg.ranks
-    }
-
-    /// Immutable view of rank states.
-    pub fn ranks(&self) -> &[S] {
-        &self.states
-    }
-
-    /// Mutable view of rank states (setup only; mutation outside
-    /// supersteps is not charged to any clock).
-    pub fn ranks_mut(&mut self) -> &mut [S] {
-        &mut self.states
-    }
-
     /// Per-rank clocks (all equal after a barrier).
     pub fn clocks(&self) -> &[Clock] {
         &self.clocks
     }
+}
+
+impl<S: Send> SpmdEngine<S> for Machine<S> {
+    fn build(cfg: MachineConfig, mode: ExecMode, states: Vec<S>) -> Self {
+        Machine::new(cfg, mode, states)
+    }
+
+    fn num_ranks(&self) -> usize {
+        self.cfg.ranks
+    }
+
+    fn machine_config(&self) -> &MachineConfig {
+        &self.cfg
+    }
+
+    fn ranks(&self) -> &[S] {
+        &self.states
+    }
+
+    fn ranks_mut(&mut self) -> &mut [S] {
+        &mut self.states
+    }
+
+    fn into_ranks(self) -> Vec<S> {
+        self.states
+    }
 
     /// Modeled elapsed time: the slowest rank's total.
-    pub fn elapsed_s(&self) -> f64 {
+    fn elapsed_s(&self) -> f64 {
         self.clocks.iter().map(Clock::total_s).fold(0.0, f64::max)
     }
 
-    /// Maximum compute seconds over ranks.
-    pub fn compute_s(&self) -> f64 {
+    fn compute_s(&self) -> f64 {
         self.clocks.iter().map(|c| c.compute_s).fold(0.0, f64::max)
     }
 
-    /// Run one superstep of `phase`.
-    ///
-    /// `compute` runs first on every rank and may send messages; `deliver`
-    /// then runs on every rank with its inbox, sorted by sender rank.
-    /// Both closures may charge op units.
-    pub fn superstep<M, F, G>(&mut self, phase: PhaseKind, compute: F, deliver: G)
+    fn instruments(&self) -> &Instruments {
+        &self.instruments
+    }
+
+    fn instruments_mut(&mut self) -> &mut Instruments {
+        &mut self.instruments
+    }
+
+    fn superstep<M, F, G>(
+        &mut self,
+        phase: PhaseKind,
+        compute: F,
+        deliver: G,
+    ) -> Result<(), SpmdError>
     where
         M: Payload,
         F: Fn(usize, &mut S, &mut PhaseCtx, &mut Outbox<M>) + Sync,
         G: Fn(usize, &mut S, &mut PhaseCtx, Vec<(usize, M)>) + Sync,
     {
-        let p = self.cfg.ranks;
+        self.guarded(phase, |m| {
+            let p = m.cfg.ranks;
 
-        // --- compute half-step -------------------------------------------------
-        let run_compute = |r: usize, s: &mut S, (): ()| {
-            let mut ctx = PhaseCtx::default();
-            let mut outbox = Outbox::new(p);
-            compute(r, s, &mut ctx, &mut outbox);
-            (outbox.msgs, ctx.ops)
-        };
-        let outputs: Vec<(Vec<(usize, M)>, f64)> = match self.mode {
-            ExecMode::Sequential => self
-                .states
-                .iter_mut()
-                .enumerate()
-                .map(|(r, s)| run_compute(r, s, ()))
-                .collect(),
-            ExecMode::HostThreads => host_par::par_map(&mut self.states, vec![(); p], &run_compute),
-        };
-
-        // --- route -------------------------------------------------------------
-        let mut rows = vec![RankRow::default(); p];
-        let mut compute_ops = vec![0.0f64; p];
-        let mut inboxes: Vec<Vec<(usize, M)>> = (0..p).map(|_| Vec::new()).collect();
-        // Per-pair tallies for the metrics comm matrix; only collected
-        // when a registry is installed so the hot path stays alloc-free.
-        // The router sees both ends of every transfer, so it logs the
-        // sender and the receiver side from the same message.
-        let log_pairs = self.instruments.metrics.is_some();
-        for (from, (msgs, ops)) in outputs.into_iter().enumerate() {
-            compute_ops[from] = ops;
-            for (to, msg) in msgs {
-                if to != from {
-                    let bytes = msg.size_bytes() as u64;
-                    rows[from].msgs_sent += 1;
-                    rows[from].bytes_sent += bytes;
-                    rows[to].msgs_recv += 1;
-                    rows[to].bytes_recv += bytes;
-                    if log_pairs {
-                        rows[from].sent_to.push((to, 1, bytes));
-                        rows[to].recv_from.push((from, 1, bytes));
-                    }
-                }
-                inboxes[to].push((from, msg));
-            }
-        }
-
-        // --- deliver half-step -------------------------------------------------
-        let deliver_ops: Vec<f64> = {
-            let run_deliver = |r: usize, s: &mut S, inbox: Vec<(usize, M)>| {
+            // --- compute half-step ---------------------------------------------
+            let run_compute = |r: usize, s: &mut S, (): ()| {
                 let mut ctx = PhaseCtx::default();
-                deliver(r, s, &mut ctx, inbox);
-                ctx.ops
+                let mut outbox = Outbox::new(p);
+                compute(r, s, &mut ctx, &mut outbox);
+                (outbox.msgs, ctx.ops)
             };
-            match self.mode {
-                ExecMode::Sequential => self
+            let outputs: Vec<(Vec<(usize, M)>, f64)> = match m.mode {
+                ExecMode::Sequential => m
                     .states
                     .iter_mut()
                     .enumerate()
-                    .zip(inboxes)
-                    .map(|((r, s), inbox)| run_deliver(r, s, inbox))
+                    .map(|(r, s)| run_compute(r, s, ()))
                     .collect(),
-                ExecMode::HostThreads => host_par::par_map(&mut self.states, inboxes, &run_deliver),
+                ExecMode::HostThreads => {
+                    host_par::par_map(&mut m.states, vec![(); p], &run_compute)
+                }
+            };
+
+            // --- route ---------------------------------------------------------
+            let mut rows = vec![RankRow::default(); p];
+            let mut compute_ops = vec![0.0f64; p];
+            let mut inboxes: Vec<Vec<(usize, M)>> = (0..p).map(|_| Vec::new()).collect();
+            // Per-pair tallies for the metrics comm matrix; only collected
+            // when a registry is installed so the hot path stays alloc-free.
+            // The router sees both ends of every transfer, so it logs the
+            // sender and the receiver side from the same message.
+            let log_pairs = m.instruments.metrics.is_some();
+            for (from, (msgs, ops)) in outputs.into_iter().enumerate() {
+                compute_ops[from] = ops;
+                for (to, msg) in msgs {
+                    if to != from {
+                        let bytes = msg.size_bytes() as u64;
+                        rows[from].msgs_sent += 1;
+                        rows[from].bytes_sent += bytes;
+                        rows[to].msgs_recv += 1;
+                        rows[to].bytes_recv += bytes;
+                        if log_pairs {
+                            rows[from].sent_to.push((to, 1, bytes));
+                            rows[to].recv_from.push((from, 1, bytes));
+                        }
+                    }
+                    inboxes[to].push((from, msg));
+                }
             }
-        };
 
-        // --- charge clocks and barrier -----------------------------------------
-        let start = self.clocks.first().map_or(0.0, Clock::total_s);
-        for (r, row) in rows.iter_mut().enumerate() {
-            row.compute_s = self.cfg.compute_cost(compute_ops[r] + deliver_ops[r]);
-            row.comm_s = row.msgs_sent as f64 * self.cfg.tau
-                + row.bytes_sent as f64 * self.cfg.mu
-                + row.msgs_recv as f64 * self.cfg.tau
-                + row.bytes_recv as f64 * self.cfg.mu;
-            self.clocks[r].advance_compute(row.compute_s);
-            self.clocks[r].advance_comm(row.comm_s);
-        }
-        let elapsed = self.elapsed_s() - start;
-        let barrier = start + elapsed;
-        for c in &mut self.clocks {
-            c.sync_to(barrier);
-        }
-        self.instruments
-            .record(&self.cfg, phase, start, elapsed, Shares::Ranks(&rows));
+            // --- deliver half-step ---------------------------------------------
+            let deliver_ops: Vec<f64> = {
+                let run_deliver = |r: usize, s: &mut S, inbox: Vec<(usize, M)>| {
+                    let mut ctx = PhaseCtx::default();
+                    deliver(r, s, &mut ctx, inbox);
+                    ctx.ops
+                };
+                match m.mode {
+                    ExecMode::Sequential => m
+                        .states
+                        .iter_mut()
+                        .enumerate()
+                        .zip(inboxes)
+                        .map(|((r, s), inbox)| run_deliver(r, s, inbox))
+                        .collect(),
+                    ExecMode::HostThreads => {
+                        host_par::par_map(&mut m.states, inboxes, &run_deliver)
+                    }
+                }
+            };
+
+            // --- charge clocks and barrier -------------------------------------
+            let start = m.clocks.first().map_or(0.0, Clock::total_s);
+            for (r, row) in rows.iter_mut().enumerate() {
+                row.compute_s = m.cfg.compute_cost(compute_ops[r] + deliver_ops[r]);
+                row.comm_s = row.msgs_sent as f64 * m.cfg.tau
+                    + row.bytes_sent as f64 * m.cfg.mu
+                    + row.msgs_recv as f64 * m.cfg.tau
+                    + row.bytes_recv as f64 * m.cfg.mu;
+                m.clocks[r].advance_compute(row.compute_s);
+                m.clocks[r].advance_comm(row.comm_s);
+            }
+            let elapsed = m.elapsed_s() - start;
+            let barrier = start + elapsed;
+            for c in &mut m.clocks {
+                c.sync_to(barrier);
+            }
+            m.instruments
+                .record(&m.cfg, phase, start, elapsed, Shares::Ranks(&rows));
+        })
     }
 
-    /// A communication-free superstep: every rank runs `compute` locally.
-    pub fn local_step<F>(&mut self, phase: PhaseKind, compute: F)
+    fn allgather<T, F, G>(
+        &mut self,
+        phase: PhaseKind,
+        bytes_per_item: usize,
+        extract: F,
+        apply: G,
+    ) -> Result<(), SpmdError>
     where
-        F: Fn(usize, &mut S, &mut PhaseCtx) + Sync,
+        T: Clone + Send,
+        F: Fn(usize, &S) -> T + Sync,
+        G: Fn(usize, &mut S, &[T]) + Sync,
     {
-        self.superstep::<(), _, _>(
-            phase,
-            |r, s, ctx, _outbox| compute(r, s, ctx),
-            |_, _, _, _| {},
-        );
+        self.guarded(phase, |m| {
+            let gathered: Vec<T> = m
+                .states
+                .iter()
+                .enumerate()
+                .map(|(r, s)| extract(r, s))
+                .collect();
+            for (r, s) in m.states.iter_mut().enumerate() {
+                apply(r, s, &gathered);
+            }
+            m.recursive_doubling(phase, bytes_per_item);
+        })
     }
 
-    /// Consume the machine, returning the final rank states.
-    pub fn into_ranks(self) -> Vec<S> {
-        self.states
+    /// The modeled share is the maximum contribution size (recursive
+    /// doubling is bottlenecked by the largest share).
+    fn allgatherv<T, F, G>(
+        &mut self,
+        phase: PhaseKind,
+        bytes_per_item: usize,
+        extract: F,
+        apply: G,
+    ) -> Result<(), SpmdError>
+    where
+        T: Clone + Send,
+        F: Fn(usize, &S) -> Vec<T> + Sync,
+        G: Fn(usize, &mut S, &[T]) + Sync,
+    {
+        self.guarded(phase, |m| {
+            let parts: Vec<Vec<T>> = m
+                .states
+                .iter()
+                .enumerate()
+                .map(|(r, s)| extract(r, s))
+                .collect();
+            let max_share = parts.iter().map(Vec::len).max().unwrap_or(0);
+            let concat: Vec<T> = parts.into_iter().flatten().collect();
+            for (r, s) in m.states.iter_mut().enumerate() {
+                apply(r, s, &concat);
+            }
+            m.recursive_doubling(phase, max_share * bytes_per_item);
+        })
+    }
+
+    /// Modeled with 8-byte shares (one f64/u64).
+    fn allreduce<T, F, R, G>(
+        &mut self,
+        phase: PhaseKind,
+        extract: F,
+        reduce: R,
+        apply: G,
+    ) -> Result<(), SpmdError>
+    where
+        T: Clone + Send,
+        F: Fn(usize, &S) -> T + Sync,
+        R: Fn(T, T) -> T + Sync,
+        G: Fn(usize, &mut S, &T) + Sync,
+    {
+        self.guarded(phase, |m| {
+            let mut it = m.states.iter().enumerate().map(|(r, s)| extract(r, s));
+            let first = it.next().expect("machine has at least one rank");
+            let folded = it.fold(first, reduce);
+            for (r, s) in m.states.iter_mut().enumerate() {
+                apply(r, s, &folded);
+            }
+            m.recursive_doubling(phase, 8);
+        })
+    }
+
+    /// Each rank is charged a pipelined tree reduction over the whole
+    /// array, the dominant cost of the replicated-grid method (Lubeck &
+    /// Faber baseline) at scale.
+    fn allreduce_elementwise<T, F, R, G>(
+        &mut self,
+        phase: PhaseKind,
+        share_bytes: usize,
+        extract: F,
+        reduce: R,
+        apply: G,
+    ) -> Result<(), SpmdError>
+    where
+        T: Clone + Send,
+        F: Fn(usize, &S) -> Vec<T> + Sync,
+        R: Fn(&T, &T) -> T + Sync,
+        G: Fn(usize, &mut S, &[T]) + Sync,
+    {
+        self.guarded(phase, |m| {
+            let mut it = m.states.iter().enumerate().map(|(r, s)| extract(r, s));
+            let mut acc = it.next().expect("machine has at least one rank");
+            for v in it {
+                assert_eq!(v.len(), acc.len(), "ragged allreduce contributions");
+                for (a, b) in acc.iter_mut().zip(&v) {
+                    *a = reduce(a, b);
+                }
+            }
+            for (r, s) in m.states.iter_mut().enumerate() {
+                apply(r, s, &acc);
+            }
+            m.pipelined_tree(phase, share_bytes);
+        })
+    }
+
+    /// Level all clocks to the slowest rank (idle -> comm).
+    fn barrier(&mut self) -> Result<(), SpmdError> {
+        self.guarded(PhaseKind::Other, |m| {
+            let barrier = m.elapsed_s();
+            for c in &mut m.clocks {
+                c.sync_to(barrier);
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SpmdEngine;
 
     fn tiny(p: usize) -> MachineConfig {
         MachineConfig {
@@ -341,7 +464,8 @@ mod tests {
                     s.push(from);
                 }
             },
-        );
+        )
+        .unwrap();
         assert_eq!(m.ranks()[0], vec![0, 1, 2, 3]);
         assert!(m.ranks()[1].is_empty());
     }
@@ -353,7 +477,8 @@ mod tests {
             PhaseKind::Other,
             |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send(r, vec![1, 2, 3]),
             |_r, s, _ctx, inbox| *s += inbox.len() as u64,
-        );
+        )
+        .unwrap();
         let rec = m.stats().records()[0];
         assert_eq!(rec.total_msgs, 0);
         assert_eq!(rec.total_bytes, 0);
@@ -372,7 +497,8 @@ mod tests {
                 }
             },
             |_, _, _, _| {},
-        );
+        )
+        .unwrap();
         let rec = m.stats().records()[0];
         assert_eq!(rec.max_bytes_sent, 80);
         assert_eq!(rec.max_msgs_sent, 1);
@@ -390,7 +516,8 @@ mod tests {
         let mut m = Machine::new(tiny(2), ExecMode::Sequential, vec![(); 2]);
         m.local_step(PhaseKind::Push, |r, _s, ctx| {
             ctx.charge_ops(if r == 0 { 100.0 } else { 300.0 });
-        });
+        })
+        .unwrap();
         // slowest rank: 300 * 0.01 = 3.0
         assert!((m.elapsed_s() - 3.0).abs() < 1e-12);
         let rec = m.stats().records()[0];
@@ -416,7 +543,8 @@ mod tests {
                             *s = s.wrapping_add(msg[0]).wrapping_mul(from as u64 | 1);
                         }
                     },
-                );
+                )
+                .unwrap();
             }
             (m.ranks().to_vec(), m.elapsed_s())
         };
@@ -434,7 +562,8 @@ mod tests {
             PhaseKind::Other,
             |_r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send(7, vec![]),
             |_, _, _, _| {},
-        );
+        )
+        .unwrap();
     }
 
     #[test]
@@ -455,7 +584,8 @@ mod tests {
                 }
             },
             |_, _, _, _| {},
-        );
+        )
+        .unwrap();
         let rec = m.stats().records()[0];
         assert_eq!(rec.max_msgs_sent, 3);
         assert_eq!(rec.max_bytes_sent, 12);

@@ -715,7 +715,7 @@ mod tests {
         // the pool dispatches, it never respawns
         let mut m = ThreadedMachine::new(tiny(4), vec![Vec::<thread::ThreadId>::new(); 4]);
         for _ in 0..3 {
-            SpmdEngine::local_step(&mut m, PhaseKind::Other, |_r, s, _ctx| {
+            m.local_step(PhaseKind::Other, |_r, s, _ctx| {
                 s.push(thread::current().id());
             })
             .expect("fault-free step");
@@ -810,17 +810,46 @@ mod tests {
 
     #[test]
     fn modeled_machine_honors_kill_faults_identically() {
+        // one one-shot kill per epoch, one operation kind per epoch: every
+        // kind must surface the kill as a typed error before it runs
+        type Op = fn(&mut crate::Machine<u64>, PhaseKind) -> Result<(), SpmdError>;
+        let ops: [(&str, PhaseKind, Op); 6] = [
+            ("local_step", PhaseKind::Push, |m, ph| {
+                m.local_step(ph, |_r, _s, _ctx| {})
+            }),
+            ("superstep", PhaseKind::Scatter, |m, ph| {
+                m.superstep(
+                    ph,
+                    |r, s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send((r + 1) % 4, vec![*s]),
+                    |_, _, _, _| {},
+                )
+            }),
+            ("allgather", PhaseKind::Setup, |m, ph| {
+                m.allgather(ph, 8, |_r, s| *s, |_r, _s, _all: &[u64]| {})
+            }),
+            ("allgatherv", PhaseKind::Redistribute, |m, ph| {
+                m.allgatherv(ph, 8, |_r, s| vec![*s], |_r, _s, _all: &[u64]| {})
+            }),
+            ("allreduce", PhaseKind::FieldSolve, |m, ph| {
+                m.allreduce(ph, |_r, s| *s, |a, b| a + b, |_r, _s, _sum| {})
+            }),
+            ("allreduce_elementwise", PhaseKind::Gather, |m, ph| {
+                m.allreduce_elementwise(ph, 8, |_r, s| vec![*s], |a, b| a + b, |_r, _s, _acc| {})
+            }),
+        ];
+        let plan = (1..=ops.len() as u64).fold(FaultPlan::new(1), |plan, e| plan.kill(2, e));
         let mut m = crate::Machine::new(tiny(4), ExecMode::Sequential, vec![0u64; 4]);
-        m.instruments_mut().fault_plan = Some(Arc::new(FaultPlan::new(1).kill(2, 3)));
-        SpmdEngine::set_fault_epoch(&mut m, 3);
-        // qualified call: the inherent (panicking) `local_step` would
-        // otherwise shadow the trait method
-        let err = SpmdEngine::local_step(&mut m, PhaseKind::Push, |_r, _s, _ctx| {})
-            .expect_err("kill must fire on the modeled machine too");
-        assert!(err.is_injected_kill());
-        assert_eq!(err.rank, Some(2));
-        assert_eq!(err.phase, Some(PhaseKind::Push));
-        SpmdEngine::local_step(&mut m, PhaseKind::Push, |_r, _s, _ctx| {})
-            .expect("one-shot: second attempt runs clean");
+        m.instruments_mut().fault_plan = Some(Arc::new(plan));
+        for ((name, phase, op), epoch) in ops.into_iter().zip(1u64..) {
+            m.set_fault_epoch(epoch);
+            let recorded = m.stats().records().len();
+            let err = op(&mut m, phase).expect_err(name);
+            assert!(err.is_injected_kill(), "{name}: {err}");
+            assert_eq!(err.rank, Some(2), "{name}");
+            assert_eq!(err.phase, Some(phase), "{name}");
+            assert_eq!(err.epoch, Some(epoch), "{name}");
+            assert_eq!(m.stats().records().len(), recorded, "{name} ran");
+            op(&mut m, phase).unwrap_or_else(|e| panic!("{name}: one-shot kill re-fired: {e}"));
+        }
     }
 }

@@ -37,7 +37,8 @@ fn run_pattern(p: usize, pattern: &[u8], mode: ExecMode) -> (Vec<u64>, f64) {
                     .wrapping_add(msg[1]);
             }
         },
-    );
+    )
+    .unwrap();
     let states = m.ranks().to_vec();
     (states, m.elapsed_s())
 }
@@ -76,7 +77,7 @@ proptest! {
                 }
             },
             |_, _, _, _| {},
-        );
+        ).unwrap();
         let rec = m.stats().records()[0];
         let expect_msgs: u64 = sends
             .iter()
@@ -106,7 +107,7 @@ proptest! {
             let ops2 = ops.clone();
             m.local_step(PhaseKind::Push, move |r, _s, ctx| {
                 ctx.charge_ops(ops2[r % ops2.len()]);
-            });
+            }).unwrap();
             let now = m.elapsed_s();
             prop_assert!(now >= last);
             last = now;
@@ -122,9 +123,9 @@ proptest! {
     fn allgather_cost_scales_with_share(p in 2usize..64, small in 1usize..100) {
         let big = small * 10;
         let mut m1 = Machine::new(cfg(p), ExecMode::Sequential, vec![0u64; p]);
-        m1.allgather(PhaseKind::Setup, small, |r, _s| r as u64, |_r, _s, _a: &[u64]| {});
+        m1.allgather(PhaseKind::Setup, small, |r, _s| r as u64, |_r, _s, _a: &[u64]| {}).unwrap();
         let mut m2 = Machine::new(cfg(p), ExecMode::Sequential, vec![0u64; p]);
-        m2.allgather(PhaseKind::Setup, big, |r, _s| r as u64, |_r, _s, _a: &[u64]| {});
+        m2.allgather(PhaseKind::Setup, big, |r, _s| r as u64, |_r, _s, _a: &[u64]| {}).unwrap();
         prop_assert!(m2.elapsed_s() > m1.elapsed_s());
         let tau = 2.0;
         let min_cost = (p as f64).log2().floor() * tau;
@@ -162,6 +163,7 @@ fn threaded_executor_matches_bsp_machine() {
         |_r, s, _ctx, inbox| {
             *s = inbox.iter().map(|(_, v)| v[0]).sum();
         },
-    );
+    )
+    .unwrap();
     assert_eq!(threaded, m.ranks());
 }

@@ -51,7 +51,7 @@ proptest! {
         let mut threaded = ThreadedMachine::new(cfg(p), states);
         drive(&mut modeled);
         drive(&mut threaded);
-        prop_assert_eq!(Machine::ranks(&modeled), SpmdEngine::ranks(&threaded));
+        prop_assert_eq!(modeled.ranks(), threaded.ranks());
     }
 
     /// allreduce of f64 sums is bit-identical (rank-order fold on both).
@@ -75,7 +75,7 @@ proptest! {
         let mut threaded = ThreadedMachine::new(cfg(p), states);
         drive(&mut modeled);
         drive(&mut threaded);
-        for (a, b) in Machine::ranks(&modeled).iter().zip(SpmdEngine::ranks(&threaded)) {
+        for (a, b) in modeled.ranks().iter().zip(threaded.ranks()) {
             prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
     }
@@ -111,7 +111,7 @@ proptest! {
         let mut threaded = ThreadedMachine::new(cfg(p), states);
         drive(&mut modeled, width);
         drive(&mut threaded, width);
-        for (a, b) in Machine::ranks(&modeled).iter().zip(SpmdEngine::ranks(&threaded)) {
+        for (a, b) in modeled.ranks().iter().zip(threaded.ranks()) {
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -151,9 +151,9 @@ proptest! {
         let mut threaded = ThreadedMachine::new(cfg(p), states);
         drive(&mut modeled, &sends, p);
         drive(&mut threaded, &sends, p);
-        prop_assert_eq!(Machine::ranks(&modeled), SpmdEngine::ranks(&threaded));
+        prop_assert_eq!(modeled.ranks(), threaded.ranks());
         let mrec = Machine::stats(&modeled).records()[0];
-        let trec = SpmdEngine::stats(&threaded).records()[0];
+        let trec = threaded.stats().records()[0];
         prop_assert_eq!(mrec.total_msgs, trec.total_msgs);
         prop_assert_eq!(mrec.total_bytes, trec.total_bytes);
         prop_assert_eq!(mrec.max_msgs_sent, trec.max_msgs_sent);
