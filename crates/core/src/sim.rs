@@ -240,17 +240,34 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         sim.machine.set_fault_epoch(0);
         // initial distribution (also under Eulerian: a one-time spatial
         // assignment so particles start on their owning ranks)
-        let cost = sim.with_env(|m, env| phases::redistribute::run(m, env, true))?;
-        sim.setup_s = cost;
-        sim.policy.notify_redistributed(0, cost);
-        sim.breakdown.absorb(&sim.machine.stats_mut().drain());
-        sim.emit(TraceEvent::Redistribution(RedistributionEvent {
-            iter: 0,
-            trigger: RedistributionTrigger::Setup,
+        sim.setup_s = sim.redistribute(RedistributionTrigger::Setup)?;
+        Ok(sim)
+    }
+
+    /// Run one redistribution and account for it: notify the policy,
+    /// count it (the setup distribution is `setup_s`, not a count),
+    /// absorb its stats, emit its trace event and refresh the structure
+    /// gauges.  Every redistribution, whatever its trigger, goes through
+    /// here.  Returns its cost in engine seconds.
+    fn redistribute(&mut self, trigger: RedistributionTrigger) -> Result<f64, SpmdError> {
+        let initial = trigger == RedistributionTrigger::Setup;
+        let cost = self.with_env(|m, env| phases::redistribute::run(m, env, initial))?;
+        self.policy.notify_redistributed(self.iter, cost);
+        if !initial {
+            self.redistributions += 1;
+            self.redistribute_total_s += cost;
+            if let Some(metrics) = &self.machine.instruments().metrics {
+                metrics.with(|reg| reg.inc("pic_redistributions_total", 1));
+            }
+        }
+        self.breakdown.absorb(&self.machine.stats_mut().drain());
+        self.emit(TraceEvent::Redistribution(RedistributionEvent {
+            iter: self.iter as u64,
+            trigger,
             cost_s: cost,
         }));
-        sim.sample_structure_gauges();
-        Ok(sim)
+        self.sample_structure_gauges();
+        Ok(cost)
     }
 
     /// Run `f` on the executor with the phase environment (configuration,
@@ -304,7 +321,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// (per-rank particle counts, the input to the dashboard's
     /// imbalance-over-time chart and Perfetto's load counters) plus the
     /// cheap `O(p)` gauges and counters for the registry.
-    fn observe_iteration(&mut self, counts: &[usize], redistributed: bool) {
+    fn observe_iteration(&mut self, counts: &[usize]) {
         let now_s = self.machine.elapsed_s();
         if self.machine.instruments().recorder.is_some() {
             self.emit(TraceEvent::RankLoad(RankLoadEvent {
@@ -328,9 +345,6 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
             .collect();
         metrics.with(|reg| {
             reg.inc("pic_iterations_total", 1);
-            if redistributed {
-                reg.inc("pic_redistributions_total", 1);
-            }
             reg.set_gauge("pic_imbalance_factor", imbalance);
             for (rank, &c) in counts.iter().enumerate() {
                 reg.set_rank_gauge("pic_rank_particles", rank, c as f64);
@@ -394,6 +408,12 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
         sim.redistributions = ck.redistributions as usize;
         sim.redistribute_total_s = ck.redistribute_total_s;
         sim.breakdown = ck.breakdown;
+        // the run that took the snapshot has reported everything up to
+        // it, so the next report starts there (the fresh executor's clock
+        // starts at zero, which is already `consumed_s`)
+        sim.breakdown_consumed = ck.breakdown;
+        sim.redistributions_consumed = sim.redistributions;
+        sim.redistribute_s_consumed = sim.redistribute_total_s;
         sim.policy.restore_state(&ck.policy);
         sim.machine.set_fault_epoch(ck.iter);
         sim
@@ -522,24 +542,13 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
                 });
             }
             if fire {
-                redistribute_s =
-                    self.with_env(|m, env| phases::redistribute::run(m, env, false))?;
-                self.policy.notify_redistributed(self.iter, redistribute_s);
-                self.redistributions += 1;
-                self.redistribute_total_s += redistribute_s;
+                redistribute_s = self.redistribute(RedistributionTrigger::Policy)?;
                 redistributed = true;
-                self.breakdown.absorb(&self.machine.stats_mut().drain());
-                self.emit(TraceEvent::Redistribution(RedistributionEvent {
-                    iter: self.iter as u64,
-                    trigger: RedistributionTrigger::Policy,
-                    cost_s: redistribute_s,
-                }));
-                self.sample_structure_gauges();
             }
         }
 
         let counts: Vec<usize> = self.machine.ranks().iter().map(RankState::len).collect();
-        self.observe_iteration(&counts, redistributed);
+        self.observe_iteration(&counts);
         Ok(IterationRecord {
             iter: self.iter,
             time_s,
@@ -704,17 +713,7 @@ impl<E: SpmdEngine<RankState>> GenericPicSim<E> {
     /// # Errors
     /// Returns the [`SpmdError`] when the redistribution fails.
     pub fn try_redistribute_now(&mut self) -> Result<f64, SpmdError> {
-        let cost = self.with_env(|m, env| phases::redistribute::run(m, env, false))?;
-        self.policy.notify_redistributed(self.iter, cost);
-        self.redistributions += 1;
-        self.redistribute_total_s += cost;
-        self.breakdown.absorb(&self.machine.stats_mut().drain());
-        self.emit(TraceEvent::Redistribution(RedistributionEvent {
-            iter: self.iter as u64,
-            trigger: RedistributionTrigger::Forced,
-            cost_s: cost,
-        }));
-        Ok(cost)
+        self.redistribute(RedistributionTrigger::Forced)
     }
 
     /// [`GenericPicSim::try_redistribute_now`], panicking on failure.

@@ -255,3 +255,48 @@ fn phase_scoped_kill_recovers() {
         &outcome.sim.into_machine().into_ranks(),
     );
 }
+
+/// A resumed simulation's first report covers only the iterations run
+/// after the checkpoint: it matches the uninterrupted run's report over
+/// the same iterations, not everything since setup.
+#[test]
+fn report_after_resume_covers_only_the_resumed_iterations() {
+    let cfg = SimConfig {
+        policy: PolicyKind::Periodic(5),
+        ..SimConfig::small_test()
+    };
+    let mut original = ParallelPicSim::new(cfg.clone());
+    original.run(10);
+    let ck = Checkpoint::decode(&original.checkpoint().encode()).expect("decode");
+    let expected = original.run(10);
+    let got = ParallelPicSim::resume_from(cfg, &ck).run(10);
+
+    assert_eq!(got.redistributions, expected.redistributions);
+    let close = |what: &str, a: f64, b: f64| {
+        assert!(
+            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+            "{what}: resumed {a} vs uninterrupted {b}"
+        );
+    };
+    close("total_s", got.total_s, expected.total_s);
+    close("compute_s", got.compute_s, expected.compute_s);
+    close("overhead_s", got.overhead_s, expected.overhead_s);
+    close(
+        "redistribute_total_s",
+        got.redistribute_total_s,
+        expected.redistribute_total_s,
+    );
+    close("setup_s", got.setup_s, expected.setup_s);
+    let (g, e) = (got.breakdown, expected.breakdown);
+    close("breakdown.scatter_s", g.scatter_s, e.scatter_s);
+    close("breakdown.field_solve_s", g.field_solve_s, e.field_solve_s);
+    close("breakdown.gather_s", g.gather_s, e.gather_s);
+    close("breakdown.push_s", g.push_s, e.push_s);
+    close(
+        "breakdown.redistribute_s",
+        g.redistribute_s,
+        e.redistribute_s,
+    );
+    let iters = |r: &pic_core::SimReport| r.iterations.iter().map(|i| i.iter).collect::<Vec<_>>();
+    assert_eq!(iters(&got), iters(&expected));
+}

@@ -129,6 +129,36 @@ fn sar_audit_log_matches_actual_redistributions() {
     assert_eq!(reg.counter("pic_iterations_total"), 30);
 }
 
+/// A forced redistribution is accounted like a policy one: the counter
+/// includes it and the structure gauges are refreshed after it.
+#[test]
+fn forced_redistribution_updates_counter_and_gauges() {
+    let cfg = cfg_8rank(PolicyKind::Static);
+    let metrics = SharedMetrics::new(cfg.machine.ranks);
+    let instruments = Instruments {
+        metrics: Some(metrics.clone()),
+        ..Instruments::default()
+    };
+    let mut sim = GenericPicSim::<Machine<pic_core::RankState>>::try_new_with(cfg, instruments)
+        .expect("setup");
+    for _ in 0..3 {
+        sim.try_step().expect("iteration");
+    }
+    sim.try_redistribute_now().expect("forced redistribution");
+    let reg = metrics.snapshot();
+    assert_eq!(reg.counter("pic_redistributions_total"), 1);
+    let overlap: Vec<f64> = sim
+        .alignment()
+        .iter()
+        .map(|rep| rep.overlap_fraction)
+        .collect();
+    assert_eq!(
+        reg.rank_gauge("pic_rank_overlap_fraction"),
+        Some(overlap.as_slice()),
+        "alignment gauges not refreshed after the forced redistribution"
+    );
+}
+
 #[test]
 fn rank_load_events_and_gauges_track_particles() {
     let cfg = cfg_8rank(PolicyKind::Static);

@@ -15,6 +15,18 @@
 //! `threaded_vs_modeled` quantifies how far the cost model drifts from
 //! real execution.
 //!
+//! ## Required and provided operations
+//!
+//! An engine implements [`SpmdEngine::superstep`],
+//! [`SpmdEngine::allgatherv`], [`SpmdEngine::allreduce_elementwise`] and
+//! [`SpmdEngine::barrier`].  The rest are provided, written once for
+//! both engines: [`SpmdEngine::local_step`] is a superstep that sends
+//! nothing (the threaded engine overrides it to skip the empty
+//! exchange), [`SpmdEngine::allgather`] is an `allgatherv` of
+//! one-element parts, and [`SpmdEngine::allreduce`] is an `allgather` of
+//! 8-byte shares folded in rank order.  A provided collective is charged
+//! and recorded exactly as the operation it is written in.
+//!
 //! ## Failure reporting
 //!
 //! Every communication operation returns `Result<(), SpmdError>` so a
@@ -121,7 +133,9 @@ pub trait SpmdEngine<S: Send>: Sized {
     }
 
     /// Global concatenation: every rank contributes one value, every rank
-    /// receives the full rank-indexed vector.
+    /// receives the full rank-indexed vector.  Provided: an
+    /// [`Self::allgatherv`] with one-element parts, so it is charged and
+    /// recorded as a concatenation of `bytes_per_item` shares.
     fn allgather<T, F, G>(
         &mut self,
         phase: PhaseKind,
@@ -132,7 +146,15 @@ pub trait SpmdEngine<S: Send>: Sized {
     where
         T: Clone + Send,
         F: Fn(usize, &S) -> T + Sync,
-        G: Fn(usize, &mut S, &[T]) + Sync;
+        G: Fn(usize, &mut S, &[T]) + Sync,
+    {
+        self.allgatherv(
+            phase,
+            bytes_per_item,
+            move |r, s| vec![extract(r, s)],
+            apply,
+        )
+    }
 
     /// Global concatenation of vectors, in rank order.
     fn allgatherv<T, F, G>(
@@ -147,9 +169,10 @@ pub trait SpmdEngine<S: Send>: Sized {
         F: Fn(usize, &S) -> Vec<T> + Sync,
         G: Fn(usize, &mut S, &[T]) + Sync;
 
-    /// All-reduce with a caller-supplied fold.  The fold is applied in
-    /// rank order on every executor so floating-point results are
-    /// bit-identical across them.
+    /// All-reduce with a caller-supplied fold.  Provided: an
+    /// [`Self::allgather`] of 8-byte shares whose `apply` folds the
+    /// gathered values in rank order, so floating-point results are
+    /// bit-identical across executors.
     fn allreduce<T, F, R, G>(
         &mut self,
         phase: PhaseKind,
@@ -161,7 +184,14 @@ pub trait SpmdEngine<S: Send>: Sized {
         T: Clone + Send,
         F: Fn(usize, &S) -> T + Sync,
         R: Fn(T, T) -> T + Sync,
-        G: Fn(usize, &mut S, &T) + Sync;
+        G: Fn(usize, &mut S, &T) + Sync,
+    {
+        self.allgather(phase, 8, extract, move |r, s, all: &[T]| {
+            let (first, rest) = all.split_first().expect("machine has at least one rank");
+            let folded = rest.iter().cloned().fold(first.clone(), &reduce);
+            apply(r, s, &folded);
+        })
+    }
 
     /// Element-wise all-reduce of per-rank arrays (rank-ordered fold).
     /// Fails with a panic cause if ranks contribute arrays of different

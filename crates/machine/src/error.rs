@@ -1,7 +1,7 @@
 //! Typed failure reporting for SPMD runs.
 //!
 //! Before this module existed the executors reported every failure the
-//! same way: a panic unwinding out of `run_spmd` or an engine method,
+//! same way: a panic unwinding out of an engine method,
 //! with the diagnostic squeezed into a formatted string.  [`SpmdError`]
 //! replaces that with a structured value carrying *where* the run died
 //! (rank, phase, superstep, fault epoch) and *why* ([`FailureCause`]):
@@ -25,18 +25,18 @@ use crate::stats::PhaseKind;
 /// Everything known about a receive that gave up waiting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeoutDetail {
-    /// What the rank was waiting inside (`"recv_exact"`, `"exchange"`,
-    /// `"allgather"`, `"barrier"`).
+    /// What the rank was waiting inside: `"exchange"` (a superstep's
+    /// all-to-many step) or `"allgather"` (the gather under
+    /// `allgatherv` and the element-wise all-reduce).
     pub operation: &'static str,
-    /// Messages the operation needed in total (0 when unknown up front,
-    /// e.g. an exchange still waiting for count handshakes).
+    /// Batches the operation needed in total: one from every rank, the
+    /// waiting rank included.
     pub expected: usize,
-    /// Messages already received when the deadline passed.
+    /// Batches already received when the deadline passed.
     pub received: usize,
     /// Per-sender in-flight bookkeeping at the moment of the timeout:
-    /// `in_flight[r]` is how many messages from rank `r` were still
-    /// outstanding (`0` for peers that had fully delivered, and for the
-    /// waiting rank itself).
+    /// `in_flight[r]` is 1 while rank `r`'s batch was still outstanding
+    /// and 0 once it had arrived.
     pub in_flight: Vec<usize>,
     /// The deadline that expired.
     pub waited: Duration,
@@ -46,7 +46,7 @@ impl fmt::Display for TimeoutDetail {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} received {}/{} messages within {:?}",
+            "{} received {}/{} batches within {:?}",
             self.operation, self.received, self.expected, self.waited
         )?;
         let missing: Vec<String> = self

@@ -223,7 +223,12 @@ impl FaultPlan {
     }
 
     /// The per-rank, per-epoch view a mailbox consults on every send.
-    pub fn session(self: &Arc<Self>, rank: usize, epoch: u64, phase: PhaseKind) -> FaultSession {
+    pub(crate) fn session(
+        self: &Arc<Self>,
+        rank: usize,
+        epoch: u64,
+        phase: PhaseKind,
+    ) -> FaultSession {
         // SplitMix64-style mix so (seed, rank, epoch) streams are
         // uncorrelated; the phase is deliberately excluded so a phase
         // running twice in one epoch still sees fresh draws via the RNG
@@ -252,7 +257,7 @@ impl FaultPlan {
 
 /// What the fault layer decided about one outgoing message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendFault {
+pub(crate) enum SendFault {
     /// Send normally.
     Deliver,
     /// Sleep, then send.
@@ -263,12 +268,11 @@ pub enum SendFault {
 
 /// One rank's live view of a [`FaultPlan`] for one fault epoch.
 ///
-/// Created per superstep by the engines (or once per run by
-/// [`run_spmd_with`](crate::threaded::run_spmd_with)); holds the rank's
-/// RNG stream so noise decisions are deterministic and independent of
-/// thread scheduling.
+/// Created per operation by [`ThreadedMachine`](crate::ThreadedMachine)
+/// for every rank's mailbox; holds the rank's RNG stream so noise
+/// decisions are deterministic and independent of thread scheduling.
 #[derive(Debug)]
-pub struct FaultSession {
+pub(crate) struct FaultSession {
     plan: Arc<FaultPlan>,
     rank: usize,
     epoch: u64,
@@ -280,7 +284,7 @@ pub struct FaultSession {
 
 impl FaultSession {
     /// Decide the fate of the next outgoing message.
-    pub fn on_send(&mut self) -> SendFault {
+    pub(crate) fn on_send(&mut self) -> SendFault {
         for kind in &self.forced {
             match *kind {
                 FaultKind::Delay(d) => return SendFault::Delay(d),
@@ -309,7 +313,7 @@ impl FaultSession {
     }
 
     /// Should the next exchange scramble its destination visit order?
-    pub fn reorder_exchange(&mut self) -> bool {
+    pub(crate) fn reorder_exchange(&mut self) -> bool {
         if self.forced.contains(&FaultKind::Reorder) {
             return true;
         }
@@ -321,7 +325,7 @@ impl FaultSession {
 
     /// A destination visit permutation for `p` ranks (Fisher–Yates from
     /// the session RNG).
-    pub fn destination_permutation(&mut self, p: usize) -> Vec<usize> {
+    pub(crate) fn destination_permutation(&mut self, p: usize) -> Vec<usize> {
         let mut perm: Vec<usize> = (0..p).collect();
         for i in (1..p).rev() {
             let j = self.rng.random_range(0..(i as u64 + 1)) as usize;
@@ -331,17 +335,12 @@ impl FaultSession {
     }
 
     /// Does a kill strike now?  Consumes the one-shot spec.
-    pub fn should_kill(&self) -> bool {
+    pub(crate) fn should_kill(&self) -> bool {
         self.plan.consume_kill(self.rank, self.epoch, self.phase)
     }
 
-    /// The rank this session belongs to.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// The fault epoch this session was built for.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 }

@@ -23,7 +23,7 @@
 //!
 //! Beyond the modeled machine, the crate ships a second executor: the
 //! real-threads [`ThreadedMachine`] runs every virtual rank on its own OS
-//! thread with genuine message passing over [`threaded::Mailbox`]
+//! thread with genuine message passing over per-operation mailbox
 //! channels.  Both executors implement [`SpmdEngine`], so the same phase
 //! program runs — and produces bit-identical rank states — on either.
 //!
@@ -64,7 +64,7 @@ pub mod machine;
 pub mod metrics;
 pub mod payload;
 pub mod stats;
-pub mod threaded;
+mod threaded;
 pub mod threaded_engine;
 pub mod trace;
 
@@ -72,7 +72,7 @@ pub use clock::Clock;
 pub use config::{MachineConfig, Topology};
 pub use engine::SpmdEngine;
 pub use error::{FailureCause, SpmdError, TimeoutDetail};
-pub use fault::{FaultKind, FaultNoise, FaultPlan, FaultSession, FaultSpec, SendFault};
+pub use fault::{FaultKind, FaultNoise, FaultPlan, FaultSpec};
 pub use instruments::Instruments;
 pub use machine::{ExecMode, Machine, Outbox, PhaseCtx};
 pub use metrics::{CommMatrix, Histogram, MetricsRegistry, PhaseFamily, SharedMetrics};

@@ -311,32 +311,6 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
         })
     }
 
-    fn allgather<T, F, G>(
-        &mut self,
-        phase: PhaseKind,
-        bytes_per_item: usize,
-        extract: F,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T + Sync,
-        G: Fn(usize, &mut S, &[T]) + Sync,
-    {
-        self.guarded(phase, |m| {
-            let gathered: Vec<T> = m
-                .states
-                .iter()
-                .enumerate()
-                .map(|(r, s)| extract(r, s))
-                .collect();
-            for (r, s) in m.states.iter_mut().enumerate() {
-                apply(r, s, &gathered);
-            }
-            m.recursive_doubling(phase, bytes_per_item);
-        })
-    }
-
     /// The modeled share is the maximum contribution size (recursive
     /// doubling is bottlenecked by the largest share).
     fn allgatherv<T, F, G>(
@@ -364,31 +338,6 @@ impl<S: Send> SpmdEngine<S> for Machine<S> {
                 apply(r, s, &concat);
             }
             m.recursive_doubling(phase, max_share * bytes_per_item);
-        })
-    }
-
-    /// Modeled with 8-byte shares (one f64/u64).
-    fn allreduce<T, F, R, G>(
-        &mut self,
-        phase: PhaseKind,
-        extract: F,
-        reduce: R,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T + Sync,
-        R: Fn(T, T) -> T + Sync,
-        G: Fn(usize, &mut S, &T) + Sync,
-    {
-        self.guarded(phase, |m| {
-            let mut it = m.states.iter().enumerate().map(|(r, s)| extract(r, s));
-            let first = it.next().expect("machine has at least one rank");
-            let folded = it.fold(first, reduce);
-            for (r, s) in m.states.iter_mut().enumerate() {
-                apply(r, s, &folded);
-            }
-            m.recursive_doubling(phase, 8);
         })
     }
 

@@ -1,142 +1,112 @@
-//! A real-threads message-passing executor.
+//! The mailbox transport under [`crate::ThreadedMachine`].
 //!
-//! The BSP [`crate::Machine`] *models* communication; this module
-//! *performs* it: each virtual rank becomes an OS thread with a mailbox of
-//! point-to-point channels, demonstrating that the superstep protocol maps
-//! one-to-one onto genuine message passing (the role MPI played for the
-//! paper).  Two entry points:
+//! Every engine operation connects its rank threads by a fresh set of
+//! mailboxes, one channel per rank, and runs at most one **batch round**
+//! on them: every rank sends one batch wire to every rank (itself
+//! included, round-tripping through its own channel) and collects the `p`
+//! batches indexed by sender.  That one round is both collectives the
+//! engine needs:
 //!
-//! * [`run_spmd`] — run a rank-local program on `p` spawned threads, each
-//!   holding a [`Mailbox`]; the building block and its own public API;
-//! * [`crate::ThreadedMachine`] — an engine implementing
-//!   [`crate::SpmdEngine`], so the PIC phase programs in `pic-core` run
-//!   unchanged on real threads (see `crate::threaded_engine`).
+//! * [`Mailbox::exchange`], the all-to-many step of a superstep: the batch
+//!   for `to` holds everything this rank sends `to`, in send order, and an
+//!   empty batch doubles as the "nothing from me" handshake.  One wire per
+//!   rank pair keeps the wakeup count of an exchange at `p` per rank,
+//!   where a count-then-stream protocol would wake a blocked receiver once
+//!   per message — painful when ranks outnumber host cores;
+//! * [`Mailbox::allgather`], under `allgatherv` and the element-wise
+//!   all-reduce: every batch holds the sender's whole contribution.
 //!
-//! ## Collectives
-//!
-//! [`Mailbox`] implements the collectives the phases need on top of plain
-//! sends: [`Mailbox::allgather`], [`Mailbox::allgatherv`], the all-to-many
-//! [`Mailbox::exchange`] (every rank sends every peer one batch wire —
-//! possibly empty, which doubles as the "nothing from me" handshake), and
-//! a dissemination [`Mailbox::barrier`].
+//! Mailboxes never outlive their operation, so every wire a rank
+//! receives belongs to the round it is in.
 //!
 //! ## Failure semantics
 //!
 //! A failing rank must not leave peers blocked in a receive forever
 //! (every mailbox holds a clone of every sender — including its own — so
-//! channels never close on their own).  Three mechanisms bound every run:
+//! channels never close on their own).  Three mechanisms bound every
+//! operation:
 //!
-//! * **poison propagation** — each rank thread runs its program under
-//!   `catch_unwind`; on failure it broadcasts a poison message to every
-//!   rank before exiting, and any rank that receives poison unwinds in
-//!   turn, so the whole run collapses promptly and the entry points
-//!   return the *root* cause as a typed [`SpmdError`];
+//! * **poison propagation** — the engine runs each rank's job under
+//!   `catch_unwind`; on failure it broadcasts a poison wire to every rank
+//!   ([`poison_all`]), and any rank that receives poison unwinds in turn,
+//!   so the operation collapses promptly and [`resolve_rank_results`]
+//!   returns the *root* cause as a typed [`SpmdError`];
 //! * **retry with exponential backoff** — a blocking receive waits in
 //!   slices starting at [`RETRY_INITIAL_BACKOFF`] and doubling up to
-//!   [`RETRY_MAX_BACKOFF`]; each expired slice retransmits any messages
-//!   this rank still owes its peers (see fault injection below), so
-//!   transiently lost messages recover without aborting the run;
-//! * **receive deadline** — when the cumulative wait exceeds the run's
+//!   [`RETRY_MAX_BACKOFF`]; each expired slice retransmits any batch this
+//!   rank still owes its peers (see fault injection below), so
+//!   transiently lost wires recover without aborting the run;
+//! * **receive deadline** — when the cumulative wait exceeds the engine's
 //!   timeout (default [`DEFAULT_RECV_TIMEOUT`]), the rank fails with a
 //!   structured [`TimeoutDetail`] carrying the operation, expected vs
-//!   received message counts and per-rank in-flight counts, instead of
+//!   received batch counts and the senders still outstanding, instead of
 //!   hanging the process.
 //!
 //! ## Fault injection
 //!
 //! A [`Mailbox`] optionally carries a [`FaultSession`] (one rank's view of
-//! a seeded [`FaultPlan`]).  Benign faults act at
-//! the wire level — a delayed send sleeps, a reordered exchange visits
-//! destinations in a scrambled order, a dropped message is parked in a
-//! per-destination *lost queue* (everything later addressed to the same
-//! destination queues behind it, preserving per-destination FIFO) and
+//! a seeded [`FaultPlan`](crate::FaultPlan)).  Benign faults act at the
+//! wire level — a delayed send sleeps, a reordered round visits
+//! destinations in a scrambled order, a dropped batch is withheld and
 //! retransmitted by the backoff loop or at operation exit.  Kill faults
-//! abort the rank at its next mailbox operation with a typed
-//! `Killed` failure.  Correct runs produce bit-identical results under
-//! any benign plan; the chaos suite asserts this.
+//! abort the rank at its next mailbox operation with a typed `Killed`
+//! failure.  Correct runs produce bit-identical results under any benign
+//! plan; the chaos suite asserts this.
 
 use std::any::Any;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+use std::panic::panic_any;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use crate::error::{FailureCause, RankFailure, SpmdError, TimeoutDetail};
-use crate::fault::{FaultPlan, FaultSession, SendFault};
-use crate::stats::PhaseKind;
+use crate::fault::{FaultSession, SendFault};
 
-/// Default cumulative per-receive deadline before a run is declared
-/// deadlocked.
-pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
+/// Default cumulative per-receive deadline before an operation is
+/// declared deadlocked.
+pub(crate) const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// First wait slice of the receive retry loop; each expiry retransmits
-/// this rank's lost-queue contents and doubles the slice.
-pub const RETRY_INITIAL_BACKOFF: Duration = Duration::from_millis(2);
+/// this rank's withheld batches and doubles the slice.
+const RETRY_INITIAL_BACKOFF: Duration = Duration::from_millis(2);
 
 /// Upper bound of the exponential backoff between retransmissions.
-pub const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(256);
+const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(256);
 
-/// Panic payload used when a rank aborts because a *peer* failed.  The
-/// runners filter these out so the root cause is what callers see.
+/// Panic payload used when a rank aborts because a *peer* failed.
+/// [`resolve_rank_results`] filters these out so the root cause is what
+/// callers see.
 pub(crate) struct PoisonedBy(pub(crate) usize);
 
 /// What travels on the wire between rank threads.
-///
-/// Collective wires carry the sender's collective sequence number.  In an
-/// SPMD program every rank executes the same collectives in the same
-/// order, so the numbers agree; tagging them keeps a fast rank's *next*
-/// collective from being consumed by a slow rank still inside the
-/// previous one (the stray wire parks in `pending` until its turn).
 pub(crate) enum Wire<M> {
-    /// One point-to-point message.
-    Msg(M),
-    /// Everything one rank sends this destination in exchange collective
-    /// `seq`, in send order (possibly empty — the empty batch doubles as
-    /// the "nothing from me" handshake).  One wire per rank pair keeps
-    /// the wakeup count of an exchange at `p` per rank, where a
-    /// count-then-stream protocol would wake a blocked receiver once per
-    /// message — painful when ranks outnumber host cores.
-    Batch(u64, Vec<M>),
-    /// A whole vector contributed to vector collective `seq`.
-    Many(u64, Vec<M>),
-    /// Dissemination-barrier token of collective `seq`, for the given
-    /// round.
-    Barrier(u64, u32),
+    /// Everything one rank sends this destination in the operation's
+    /// batch round, in send order (possibly empty).
+    Batch(Vec<M>),
     /// The sending rank failed; receivers must unwind.
     Poison,
 }
 
-/// Handle to the channels of one rank inside an SPMD run.
-pub struct Mailbox<M> {
+/// Handle to the channels of one rank inside one engine operation.
+pub(crate) struct Mailbox<M> {
     rank: usize,
     senders: Vec<Sender<(usize, Wire<M>)>>,
     receiver: Receiver<(usize, Wire<M>)>,
-    /// Messages received while waiting for something else (e.g. a fast
-    /// peer's next-step traffic arriving during this step's collective).
-    pending: VecDeque<(usize, Wire<M>)>,
-    /// Per-destination queues of wires withheld by an injected drop
-    /// fault.  Everything later addressed to a stalled destination queues
-    /// behind the dropped wire so per-destination FIFO survives the
-    /// retransmission.
-    lost: Vec<VecDeque<Wire<M>>>,
-    /// Collective operations started so far; tags collective wires (see
-    /// [`Wire`]).
-    seq: u64,
+    /// `(destination, batch)` withheld by an injected drop fault, waiting
+    /// for retransmission.
+    lost: Vec<(usize, Vec<M>)>,
     timeout: Duration,
     fault: Option<FaultSession>,
 }
 
-/// Build the `p` connected mailboxes of one run.
-pub(crate) fn make_mailboxes<M>(p: usize, timeout: Duration) -> Vec<Mailbox<M>> {
-    let mut senders = Vec::with_capacity(p);
-    let mut receivers = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(rx);
-    }
+/// Build the `p` connected mailboxes of one operation; rank `r`'s mailbox
+/// carries the fault session `fault(r)`.
+pub(crate) fn make_mailboxes<M>(
+    p: usize,
+    timeout: Duration,
+    mut fault: impl FnMut(usize) -> Option<FaultSession>,
+) -> Vec<Mailbox<M>> {
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| channel()).unzip();
     receivers
         .into_iter()
         .enumerate()
@@ -144,61 +114,42 @@ pub(crate) fn make_mailboxes<M>(p: usize, timeout: Duration) -> Vec<Mailbox<M>> 
             rank,
             senders: senders.clone(),
             receiver,
-            pending: VecDeque::new(),
-            lost: (0..p).map(|_| VecDeque::new()).collect(),
-            seq: 0,
+            lost: Vec::new(),
             timeout,
-            fault: None,
+            fault: fault(rank),
         })
         .collect()
 }
 
 impl<M> Mailbox<M> {
-    /// Retransmit every wire withheld by a drop fault, in per-destination
-    /// FIFO order.  Retransmission bypasses fault injection — a retried
-    /// message is never dropped again, so delivery is guaranteed.
+    /// Retransmit every batch withheld by a drop fault.  Retransmission
+    /// bypasses fault injection — a retried batch is never dropped again,
+    /// so delivery is guaranteed.
     fn flush_lost(&mut self) {
-        for (to, queue) in self.lost.iter_mut().enumerate() {
-            while let Some(wire) = queue.pop_front() {
-                let _ = self.senders[to].send((self.rank, wire));
-            }
+        for (to, batch) in self.lost.drain(..) {
+            let _ = self.senders[to].send((self.rank, Wire::Batch(batch)));
         }
     }
 }
 
 impl<M> Drop for Mailbox<M> {
     fn drop(&mut self) {
-        // A program may end right after a send that a fault withheld;
+        // A rank may unwind right after a send that a fault withheld;
         // peers are still waiting on it, so the last flush happens here.
         self.flush_lost();
     }
 }
 
 impl<M: Send> Mailbox<M> {
-    /// This rank's id.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Total number of ranks.
-    pub fn num_ranks(&self) -> usize {
-        self.senders.len()
-    }
-
     /// Clones of every rank's sender (for poison broadcasting by the
-    /// thread wrapper, which outlives the mailbox itself).
+    /// job wrapper, which outlives the mailbox itself).
     pub(crate) fn sender_clones(&self) -> Vec<Sender<(usize, Wire<M>)>> {
         self.senders.clone()
     }
 
-    /// Attach one rank's fault-plan session for this run/superstep.
-    pub(crate) fn set_fault(&mut self, session: Option<FaultSession>) {
-        self.fault = session;
-    }
-
-    /// Abort the rank if a kill fault is armed for it right now.
-    /// `pub(crate)` so the engine's communication-free `local_step` can
-    /// honor kill faults without paying for an (empty) exchange.
+    /// Abort the rank if a kill fault is armed for it right now.  Every
+    /// engine operation passes through here, including the ones that
+    /// communicate nothing (`local_step`, `barrier`).
     pub(crate) fn check_kill(&self) {
         if let Some(fault) = &self.fault {
             if fault.should_kill() {
@@ -210,17 +161,8 @@ impl<M: Send> Mailbox<M> {
         }
     }
 
-    fn push_wire(&mut self, to: usize, wire: Wire<M>) {
-        assert!(
-            to < self.senders.len(),
-            "destination rank {to} out of range"
-        );
-        if !self.lost[to].is_empty() {
-            // A drop fault already stalled this destination; queue behind
-            // it so per-destination FIFO survives the retransmission.
-            self.lost[to].push_back(wire);
-            return;
-        }
+    /// Send one batch to `to`, unless a fault delays or withholds it.
+    fn send_batch(&mut self, to: usize, batch: Vec<M>) {
         let verdict = match self.fault.as_mut() {
             Some(f) => f.on_send(),
             None => SendFault::Deliver,
@@ -229,69 +171,43 @@ impl<M: Send> Mailbox<M> {
             SendFault::Deliver => {}
             SendFault::Delay(d) => thread::sleep(d),
             SendFault::Drop => {
-                self.lost[to].push_back(wire);
+                self.lost.push((to, batch));
                 return;
             }
         }
         // A closed channel means the receiving thread is gone, which only
-        // happens when the run is already unwinding; drop silently so the
-        // first failure stays the root cause.
-        let _ = self.senders[to].send((self.rank, wire));
+        // happens when the operation is already unwinding; drop silently
+        // so the first failure stays the root cause.
+        let _ = self.senders[to].send((self.rank, Wire::Batch(batch)));
     }
 
-    /// Send `msg` to rank `to`.
-    ///
-    /// # Panics
-    /// Panics if `to` is out of range, or to abort the rank on an
-    /// injected kill / peer poison (caught by the runners and surfaced as
-    /// [`SpmdError`]).
-    pub fn send(&mut self, to: usize, msg: M) {
-        self.check_kill();
-        self.push_wire(to, Wire::Msg(msg));
-    }
-
-    /// Next wire message satisfying `pred`, buffering others.
+    /// Next batch from any sender.
     ///
     /// Waits in exponentially growing slices; each expired slice
-    /// retransmits this rank's lost queue (a peer may be blocked on a
-    /// dropped message of ours).  Once the cumulative wait exceeds the
-    /// run timeout, aborts the rank with a typed timeout whose
-    /// [`TimeoutDetail`] comes from `detail()` = `(expected, received,
-    /// per-rank in-flight counts)`.
-    fn next_matching<P, D>(
-        &mut self,
-        operation: &'static str,
-        pred: P,
-        detail: D,
-    ) -> (usize, Wire<M>)
-    where
-        P: Fn(&Wire<M>) -> bool,
-        D: Fn() -> (usize, usize, Vec<usize>),
-    {
-        if let Some(pos) = self.pending.iter().position(|(_, w)| pred(w)) {
-            return self.pending.remove(pos).expect("position just found");
-        }
+    /// retransmits this rank's withheld batches (a peer may be blocked on
+    /// one of them).  Once the cumulative wait exceeds the timeout, aborts
+    /// the rank with a typed timeout whose [`TimeoutDetail`] is read off
+    /// `got`, the batches received so far indexed by sender.
+    fn next_batch(&mut self, operation: &'static str, got: &[Option<Vec<M>>]) -> (usize, Vec<M>) {
         let mut waited = Duration::ZERO;
         let mut backoff = RETRY_INITIAL_BACKOFF;
         loop {
             let slice = backoff.min(self.timeout.saturating_sub(waited));
             if slice.is_zero() {
-                let (expected, received, in_flight) = detail();
                 panic_any(RankFailure::Timeout {
                     rank: self.rank,
                     detail: TimeoutDetail {
                         operation,
-                        expected,
-                        received,
-                        in_flight,
+                        expected: got.len(),
+                        received: got.iter().filter(|g| g.is_some()).count(),
+                        in_flight: got.iter().map(|g| usize::from(g.is_none())).collect(),
                         waited,
                     },
                 });
             }
             match self.receiver.recv_timeout(slice) {
+                Ok((from, Wire::Batch(batch))) => return (from, batch),
                 Ok((from, Wire::Poison)) => panic_any(PoisonedBy(from)),
-                Ok((from, wire)) if pred(&wire) => return (from, wire),
-                Ok(other) => self.pending.push_back(other),
                 Err(RecvTimeoutError::Timeout) => {
                     waited += slice;
                     self.flush_lost();
@@ -304,199 +220,65 @@ impl<M: Send> Mailbox<M> {
         }
     }
 
-    /// Receive exactly `n` point-to-point messages, returned sorted by
-    /// sender rank (stable: order within one sender is preserved) so the
-    /// result is deterministic regardless of thread scheduling.
-    ///
-    /// # Panics
-    /// Aborts the rank (typed payload) on poison, timeout, or injected
-    /// kill; the runners surface it as [`SpmdError`].
-    pub fn recv_exact(&mut self, n: usize) -> Vec<(usize, M)> {
+    /// The batch round: send `batches[to]` to every rank `to`, then
+    /// return the batch every rank sent this one, indexed by sender.  An
+    /// injected reorder fault only scrambles which destination is served
+    /// first, so results never change.
+    fn round(&mut self, operation: &'static str, mut batches: Vec<Vec<M>>) -> Vec<Vec<M>> {
         self.check_kill();
-        let mut msgs: Vec<(usize, M)> = Vec::with_capacity(n);
-        while msgs.len() < n {
-            let received = msgs.len();
-            let (from, wire) = self.next_matching(
-                "recv_exact",
-                |w| matches!(w, Wire::Msg(_)),
-                move || (n, received, Vec::new()),
-            );
-            match wire {
-                Wire::Msg(m) => msgs.push((from, m)),
-                _ => unreachable!("next_matching returned a non-Msg wire"),
+        let p = self.senders.len();
+        let mut order: Vec<usize> = (0..p).collect();
+        if let Some(f) = self.fault.as_mut() {
+            if f.reorder_exchange() {
+                order = f.destination_permutation(p);
             }
         }
-        self.flush_lost();
-        msgs.sort_by_key(|&(from, _)| from);
-        msgs
-    }
-
-    /// All-to-many exchange: every rank sends every peer (including
-    /// itself, round-tripping through its own channel) exactly one batch
-    /// wire carrying all its messages for that destination — an empty
-    /// batch doubles as the "nothing from me" handshake.  Returns the
-    /// inbox sorted by sender rank with per-sender order preserved —
-    /// exactly the modeled machine's delivery order (an injected reorder
-    /// fault only scrambles which *destination* is served first;
-    /// per-destination order is kept, so results never change).
-    pub fn exchange(&mut self, outgoing: Vec<(usize, M)>) -> Vec<(usize, M)> {
-        self.check_kill();
-        self.seq += 1;
-        let seq = self.seq;
-        let p = self.num_ranks();
-        let mut groups: Vec<Vec<M>> = (0..p).map(|_| Vec::new()).collect();
-        for (to, msg) in outgoing {
-            assert!(to < p, "destination rank {to} out of range");
-            groups[to].push(msg);
+        for to in order {
+            let batch = std::mem::take(&mut batches[to]);
+            self.send_batch(to, batch);
         }
-        let order: Vec<usize> = match self.fault.as_mut() {
-            Some(f) => {
-                if f.reorder_exchange() {
-                    f.destination_permutation(p)
-                } else {
-                    (0..p).collect()
-                }
-            }
-            None => (0..p).collect(),
-        };
-        for &to in &order {
-            let batch = std::mem::take(&mut groups[to]);
-            self.push_wire(to, Wire::Batch(seq, batch));
-        }
-        // collect until every peer's batch (possibly empty) has arrived
         let mut got: Vec<Option<Vec<M>>> = (0..p).map(|_| None).collect();
-        while got.iter().any(Option::is_none) {
-            let (from, wire) = {
-                let got = &got;
-                self.next_matching(
-                    "exchange",
-                    move |w| matches!(w, Wire::Batch(s, _) if *s == seq),
-                    move || {
-                        let received = got.iter().filter(|g| g.is_some()).count();
-                        let in_flight = got.iter().map(|g| usize::from(g.is_none())).collect();
-                        (p, received, in_flight)
-                    },
-                )
-            };
-            let Wire::Batch(_, msgs) = wire else {
-                unreachable!("next_matching returned a non-exchange wire")
-            };
+        for _ in 0..p {
+            let (from, batch) = self.next_batch(operation, &got);
             assert!(
                 got[from].is_none(),
-                "rank {from} sent two batches in one exchange"
+                "rank {from} sent two batches in one round"
             );
-            got[from] = Some(msgs);
+            got[from] = Some(batch);
         }
         self.flush_lost();
         got.into_iter()
-            .enumerate()
-            .flat_map(|(from, msgs)| {
-                msgs.expect("all filled")
-                    .into_iter()
-                    .map(move |m| (from, m))
-            })
+            .map(|batch| batch.expect("one batch per sender"))
             .collect()
     }
 
-    /// Global concatenation: contribute `value`, receive every rank's
-    /// contribution indexed by rank.
-    pub fn allgather(&mut self, value: M) -> Vec<M>
-    where
-        M: Clone,
-    {
-        let per_rank = self.allgather_vec(vec![value]);
-        per_rank
+    /// All-to-many exchange of `(destination, message)` pairs.  Returns
+    /// the inbox sorted by sender rank with per-sender order preserved —
+    /// exactly the modeled machine's delivery order.
+    pub(crate) fn exchange(&mut self, outgoing: Vec<(usize, M)>) -> Vec<(usize, M)> {
+        let mut batches: Vec<Vec<M>> = (0..self.senders.len()).map(|_| Vec::new()).collect();
+        for (to, msg) in outgoing {
+            batches[to].push(msg);
+        }
+        self.round("exchange", batches)
             .into_iter()
-            .map(|mut v| {
-                assert_eq!(v.len(), 1, "allgather contribution must be one value");
-                v.pop().expect("length checked")
-            })
+            .enumerate()
+            .flat_map(|(from, msgs)| msgs.into_iter().map(move |m| (from, m)))
             .collect()
     }
 
-    /// Vector allgather keeping contributions separate: rank `r`'s
-    /// contribution is element `r` of the result.
-    pub fn allgather_vec(&mut self, values: Vec<M>) -> Vec<Vec<M>>
+    /// Contribute `values` to every rank; returns every rank's
+    /// contribution indexed by rank.
+    pub(crate) fn allgather(&mut self, values: Vec<M>) -> Vec<Vec<M>>
     where
         M: Clone,
     {
-        self.check_kill();
-        self.seq += 1;
-        let seq = self.seq;
-        let p = self.num_ranks();
-        for to in 0..p {
-            if to != self.rank {
-                self.push_wire(to, Wire::Many(seq, values.clone()));
-            }
-        }
-        let mut result: Vec<Option<Vec<M>>> = vec![None; p];
-        result[self.rank] = Some(values);
-        while result.iter().any(Option::is_none) {
-            let (from, wire) = {
-                let result = &result;
-                self.next_matching(
-                    "allgather",
-                    move |w| matches!(w, Wire::Many(s, _) if *s == seq),
-                    move || {
-                        let received = result.iter().filter(|v| v.is_some()).count() - 1;
-                        let in_flight = result.iter().map(|v| usize::from(v.is_none())).collect();
-                        (p - 1, received, in_flight)
-                    },
-                )
-            };
-            let Wire::Many(_, v) = wire else {
-                unreachable!("next_matching returned a non-Many wire")
-            };
-            assert!(
-                result[from].is_none(),
-                "rank {from} contributed twice to one allgather"
-            );
-            result[from] = Some(v);
-        }
-        self.flush_lost();
-        result.into_iter().map(|v| v.expect("all filled")).collect()
-    }
-
-    /// Global concatenation of vectors in rank order (the paper's "global
-    /// concatenation" used by bucket incremental sorting).
-    pub fn allgatherv(&mut self, values: Vec<M>) -> Vec<M>
-    where
-        M: Clone,
-    {
-        self.allgather_vec(values).into_iter().flatten().collect()
-    }
-
-    /// Dissemination barrier: `ceil(log2 p)` rounds of token passing.
-    ///
-    /// Tokens are tagged with the barrier's collective sequence number
-    /// and the round, so neither a fast peer's *next* barrier nor a
-    /// different round of this one can satisfy the wait.
-    pub fn barrier(&mut self) {
-        self.check_kill();
-        self.seq += 1;
-        let seq = self.seq;
-        let p = self.num_ranks();
-        let mut round = 0u32;
-        let mut dist = 1usize;
-        while dist < p {
-            let to = (self.rank + dist) % p;
-            let expect_from = (self.rank + p - dist) % p;
-            self.push_wire(to, Wire::Barrier(seq, round));
-            let want = round;
-            let (got_from, _) = self.next_matching(
-                "barrier",
-                move |w| matches!(w, Wire::Barrier(s, r) if *s == seq && *r == want),
-                move || (1, 0, Vec::new()),
-            );
-            debug_assert_eq!(got_from, expect_from, "unexpected barrier peer");
-            round += 1;
-            dist *= 2;
-        }
-        self.flush_lost();
+        let p = self.senders.len();
+        self.round("allgather", vec![values; p])
     }
 }
 
-/// Broadcast poison to every rank (used by thread wrappers on failure).
+/// Broadcast poison to every rank (used by the job wrapper on failure).
 pub(crate) fn poison_all<M: Send>(rank: usize, senders: &[Sender<(usize, Wire<M>)>]) {
     for tx in senders {
         let _ = tx.send((rank, Wire::Poison));
@@ -507,10 +289,10 @@ pub(crate) fn poison_all<M: Send>(rank: usize, senders: &[Sender<(usize, Wire<M>
 ///
 /// When several ranks failed, the *root cause* wins: a [`PoisonedBy`]
 /// payload means the rank only unwound because a peer died, so any
-/// non-poison payload takes precedence regardless of rank order.  A run
-/// that only saw poison (root thread died without unwinding through
-/// `catch_unwind`, e.g. via abort-on-double-panic) still names the rank
-/// whose poison was received.
+/// non-poison payload takes precedence regardless of rank order.  An
+/// operation that only saw poison (root thread died without unwinding
+/// through `catch_unwind`, e.g. via abort-on-double-panic) still names
+/// the rank whose poison was received.
 pub(crate) fn resolve_rank_results<R>(
     outcomes: Vec<Result<R, Box<dyn Any + Send>>>,
 ) -> Result<Vec<R>, SpmdError> {
@@ -537,147 +319,100 @@ pub(crate) fn resolve_rank_results<R>(
     }
 }
 
-/// Run an SPMD program on `p` OS threads, one per rank, each with a
-/// [`Mailbox`].  Returns the per-rank results in rank order, or the
-/// *root* failure as a typed [`SpmdError`] (a failing rank poisons all
-/// peers, so the call returns within bounded time instead of hanging
-/// peers in a receive).
-///
-/// # Panics
-/// Panics if `p == 0`.
-pub fn run_spmd<M, R, F>(p: usize, program: F) -> Result<Vec<R>, SpmdError>
-where
-    M: Send + 'static,
-    R: Send + 'static,
-    F: Fn(Mailbox<M>) -> R + Send + Sync + 'static + Clone,
-{
-    run_spmd_with(p, DEFAULT_RECV_TIMEOUT, None, program)
-}
-
-/// [`run_spmd`] with an explicit per-receive deadline (tests use short
-/// deadlines to assert bounded-time failure).
-pub fn run_spmd_with_timeout<M, R, F>(
-    p: usize,
-    timeout: Duration,
-    program: F,
-) -> Result<Vec<R>, SpmdError>
-where
-    M: Send + 'static,
-    R: Send + 'static,
-    F: Fn(Mailbox<M>) -> R + Send + Sync + 'static + Clone,
-{
-    run_spmd_with(p, timeout, None, program)
-}
-
-/// Full-control entry point: explicit deadline and an optional fault
-/// plan applied at fault epoch `epoch` (the chaos suite's workhorse).
-pub fn run_spmd_with<M, R, F>(
-    p: usize,
-    timeout: Duration,
-    fault: Option<(Arc<FaultPlan>, u64)>,
-    program: F,
-) -> Result<Vec<R>, SpmdError>
-where
-    M: Send + 'static,
-    R: Send + 'static,
-    F: Fn(Mailbox<M>) -> R + Send + Sync + 'static + Clone,
-{
-    assert!(p > 0, "need at least one rank");
-    let mut mailboxes = make_mailboxes::<M>(p, timeout);
-    if let Some((plan, epoch)) = &fault {
-        for (rank, mb) in mailboxes.iter_mut().enumerate() {
-            mb.set_fault(Some(plan.session(rank, *epoch, PhaseKind::Other)));
-        }
-    }
-    let handles: Vec<_> = mailboxes
-        .into_iter()
-        .map(|mailbox| {
-            let rank = mailbox.rank();
-            let senders = mailbox.sender_clones();
-            let program = program.clone();
-            thread::spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| program(mailbox)));
-                if result.is_err() {
-                    poison_all(rank, &senders);
-                }
-                result
-            })
-        })
-        .collect();
-    let outcomes: Vec<_> = handles
-        .into_iter()
-        .map(|h| match h.join() {
-            Ok(inner) => inner,
-            Err(payload) => Err(payload),
-        })
-        .collect();
-    resolve_rank_results(outcomes)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::fault::FaultNoise;
-    use std::time::Instant;
+    //! The transport is tested through the engine that ships it.
+
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use crate::{
+        FailureCause, FaultNoise, FaultPlan, MachineConfig, Outbox, PhaseKind, SpmdEngine,
+        ThreadedMachine, Topology,
+    };
+
+    fn machine<S: Send>(states: Vec<S>) -> ThreadedMachine<S> {
+        let cfg = MachineConfig {
+            ranks: states.len(),
+            tau: 1.0,
+            mu: 0.1,
+            delta: 0.01,
+            topology: Topology::FullyConnected,
+        };
+        ThreadedMachine::new(cfg, states)
+    }
+
+    /// A machine whose operations run under `plan` at fault epoch 0.
+    fn planned<S: Send>(states: Vec<S>, plan: Arc<FaultPlan>) -> ThreadedMachine<S> {
+        let mut m = machine(states).with_timeout(Duration::from_secs(20));
+        m.instruments_mut().fault_plan = Some(plan);
+        m
+    }
+
+    /// Every rank sends `per_peer` messages to every rank (itself too)
+    /// and keeps its inbox as `(sender, value)` pairs.
+    fn all_to_all<E: SpmdEngine<Vec<(usize, u64)>>>(m: &mut E, per_peer: u64) {
+        let p = m.num_ranks();
+        m.superstep(
+            PhaseKind::Other,
+            |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| {
+                for to in 0..p {
+                    for k in 0..per_peer {
+                        ob.send(to, vec![(r * 1000 + to * 10) as u64 + k]);
+                    }
+                }
+            },
+            |_r, s, _ctx, inbox| s.extend(inbox.into_iter().map(|(from, v)| (from, v[0]))),
+        )
+        .expect("all-to-all superstep");
+    }
 
     #[test]
     fn ring_rotation_on_real_threads() {
-        let results = run_spmd::<u64, u64, _>(4, |mut mb| {
-            let next = (mb.rank() + 1) % mb.num_ranks();
-            mb.send(next, mb.rank() as u64 * 100);
-            let got = mb.recv_exact(1);
-            got[0].1
-        })
+        let mut m = machine(vec![0u64; 4]);
+        m.superstep(
+            PhaseKind::Other,
+            |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send((r + 1) % 4, vec![r as u64 * 100]),
+            |_r, s, _ctx, inbox| *s = inbox[0].1[0],
+        )
         .expect("fault-free run");
-        assert_eq!(results, vec![300, 0, 100, 200]);
+        assert_eq!(m.ranks(), &[300, 0, 100, 200]);
     }
 
     #[test]
     fn all_to_all_is_deterministic() {
-        let results = run_spmd::<u64, Vec<u64>, _>(8, |mut mb| {
-            let p = mb.num_ranks();
-            for to in 0..p {
-                if to != mb.rank() {
-                    mb.send(to, (mb.rank() * 10) as u64);
-                }
-            }
-            mb.recv_exact(p - 1).into_iter().map(|(_, v)| v).collect()
-        })
-        .expect("fault-free run");
-        for (r, got) in results.iter().enumerate() {
-            let expect: Vec<u64> = (0..8)
-                .filter(|&s| s != r)
-                .map(|s| (s * 10) as u64)
-                .collect();
+        let mut m = machine(vec![Vec::new(); 8]);
+        all_to_all(&mut m, 1);
+        for (r, got) in m.ranks().iter().enumerate() {
+            let expect: Vec<(usize, u64)> =
+                (0..8).map(|s| (s, (s * 1000 + r * 10) as u64)).collect();
             assert_eq!(got, &expect, "rank {r}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "at least one rank")]
-    fn zero_ranks_rejected() {
-        let _ = run_spmd::<u64, (), _>(0, |_mb| {});
-    }
-
-    #[test]
     fn exchange_handshake_round_trips() {
-        let results = run_spmd::<(u64, u64), Vec<(usize, (u64, u64))>, _>(6, |mut mb| {
-            let r = mb.rank();
-            // rank r sends k = r messages, spread over peers (r+1)..(r+1+r)
-            let outgoing: Vec<(usize, (u64, u64))> = (0..r)
-                .map(|k| (((r + 1 + k) % mb.num_ranks()), (r as u64, k as u64)))
-                .collect();
-            mb.exchange(outgoing)
-        })
+        // rank r sends k = r messages, spread over peers (r+1)..(r+1+r);
+        // most rank pairs exchange only the empty handshake batch
+        let mut m = machine(vec![Vec::<(usize, Vec<u64>)>::new(); 6]);
+        m.superstep(
+            PhaseKind::Other,
+            |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| {
+                for k in 0..r {
+                    ob.send((r + 1 + k) % 6, vec![r as u64, k as u64]);
+                }
+            },
+            |_r, s, _ctx, inbox| *s = inbox,
+        )
         .expect("fault-free run");
-        let total: usize = results.iter().map(Vec::len).sum();
+        let total: usize = m.ranks().iter().map(Vec::len).sum();
         assert_eq!(total, (0..6).sum::<usize>());
-        for inbox in &results {
+        for inbox in m.ranks() {
             // sorted by sender, per-sender send order preserved
             assert!(inbox.windows(2).all(|w| w[0].0 <= w[1].0));
             for w in inbox.windows(2) {
                 if w[0].0 == w[1].0 {
-                    assert!(w[0].1 .1 < w[1].1 .1);
+                    assert!(w[0].1[1] < w[1].1[1]);
                 }
             }
         }
@@ -685,33 +420,45 @@ mod tests {
 
     #[test]
     fn collectives_agree_with_direct_computation() {
-        let results = run_spmd::<u64, (Vec<u64>, Vec<u64>), _>(5, |mut mb| {
-            let r = mb.rank() as u64;
-            let gathered = mb.allgather(r * 7);
-            let concat = mb.allgatherv(vec![r; mb.rank()]);
-            mb.barrier();
-            (gathered, concat)
-        })
-        .expect("fault-free run");
+        let mut m = machine(vec![(Vec::<u64>::new(), Vec::<u64>::new()); 5]);
+        m.allgather(
+            PhaseKind::Setup,
+            8,
+            |r, _s| r as u64 * 7,
+            |_r, s, all| s.0 = all.to_vec(),
+        )
+        .expect("allgather");
+        m.allgatherv(
+            PhaseKind::Setup,
+            8,
+            |r, _s| vec![r as u64; r],
+            |_r, s, concat| s.1 = concat.to_vec(),
+        )
+        .expect("allgatherv");
+        m.barrier().expect("barrier");
         let expect_concat: Vec<u64> = (0..5u64).flat_map(|r| vec![r; r as usize]).collect();
-        for (gathered, concat) in results {
-            assert_eq!(gathered, vec![0, 7, 14, 21, 28]);
-            assert_eq!(concat, expect_concat);
+        for (gathered, concat) in m.ranks() {
+            assert_eq!(gathered, &[0, 7, 14, 21, 28]);
+            assert_eq!(concat, &expect_concat);
         }
     }
 
     #[test]
     fn panicking_rank_fails_the_run_promptly() {
         for p in [1usize, 2, 4, 8] {
+            let mut m = machine(vec![0u64; p]).with_timeout(Duration::from_secs(20));
             let start = Instant::now();
-            let err =
-                run_spmd_with_timeout::<u64, (), _>(p, Duration::from_secs(20), move |mut mb| {
-                    if mb.rank() == p / 2 {
-                        panic!("injected failure on rank {}", p / 2);
-                    }
-                    // everyone else waits for a message that never comes
-                    let _ = mb.recv_exact(1);
-                })
+            let err = m
+                .superstep(
+                    PhaseKind::Other,
+                    move |r, _s, _ctx, _ob: &mut Outbox<Vec<u64>>| {
+                        if r == p / 2 {
+                            panic!("injected failure on rank {r}");
+                        }
+                        // everyone else goes on to wait for its batch
+                    },
+                    |_, _, _, _| {},
+                )
                 .expect_err("run must fail");
             match &err.cause {
                 FailureCause::Panic(msg) => {
@@ -727,34 +474,61 @@ mod tests {
         }
     }
 
+    /// A rank that stalls past the deadline looks deadlocked to its
+    /// peers: the superstep fails with the timeout of a waiting rank,
+    /// and the rank pool serves the next superstep.
     #[test]
     fn deadlock_times_out_with_structured_detail() {
+        let p = 4;
+        let sleeper = 1;
+        let mut m = machine(vec![0u64; p]).with_timeout(Duration::from_millis(200));
         let start = Instant::now();
-        let err = run_spmd_with_timeout::<u64, (), _>(2, Duration::from_millis(200), |mut mb| {
-            // both ranks wait forever: nothing is ever sent
-            let _ = mb.recv_exact(1);
-        })
-        .expect_err("deadlock must fail");
+        let err = m
+            .superstep(
+                PhaseKind::Scatter,
+                |r, _s, _ctx, _ob: &mut Outbox<Vec<u64>>| {
+                    if r == sleeper {
+                        std::thread::sleep(Duration::from_secs(1));
+                    }
+                },
+                |_, _, _, _| {},
+            )
+            .expect_err("a stalled rank must time its peers out");
         assert!(start.elapsed() < Duration::from_secs(10));
         assert!(err.is_timeout(), "got {err:?}");
-        assert!(err.rank.is_some(), "timeout must name a rank");
+        let rank = err.rank.expect("timeout must name a rank");
+        assert!(
+            rank < p && rank != sleeper,
+            "named rank {rank} did not wait"
+        );
         let FailureCause::Timeout(detail) = &err.cause else {
             panic!("expected timeout cause");
         };
-        assert_eq!(detail.operation, "recv_exact");
-        assert_eq!(detail.expected, 1);
-        assert_eq!(detail.received, 0);
+        assert_eq!(detail.operation, "exchange");
+        assert_eq!(detail.expected, p);
+        assert!(detail.received < p, "{detail:?}");
+        assert_eq!(detail.in_flight[sleeper], 1, "{detail:?}");
         assert!(detail.waited >= Duration::from_millis(200));
+        m.superstep(
+            PhaseKind::Scatter,
+            |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send((r + 1) % p, vec![r as u64 + 1]),
+            |_r, s, _ctx, inbox| *s = inbox[0].1[0],
+        )
+        .expect("the pool must serve the next superstep");
+        assert_eq!(m.ranks(), &[4, 1, 2, 3]);
     }
 
     #[test]
     fn injected_kill_names_the_rank() {
         let plan = Arc::new(FaultPlan::new(3).kill(2, 0));
+        let mut m = planned(vec![Vec::new(); 8], plan);
         let start = Instant::now();
-        let err =
-            run_spmd_with::<u64, (), _>(8, Duration::from_secs(20), Some((plan, 0)), |mut mb| {
-                mb.barrier();
-            })
+        let err = m
+            .superstep(
+                PhaseKind::Other,
+                |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send((r + 1) % 8, vec![r as u64]),
+                |_r, s: &mut Vec<u64>, _ctx, inbox| s.push(inbox[0].1[0]),
+            )
             .expect_err("killed run must fail");
         assert!(err.is_injected_kill(), "got {err:?}");
         assert_eq!(err.rank, Some(2));
@@ -764,7 +538,7 @@ mod tests {
 
     #[test]
     fn dropped_messages_are_retransmitted() {
-        // Every send from every rank is dropped on first attempt; the
+        // Every batch from every rank is dropped on first attempt; the
         // backoff loop retransmits and the exchange still completes with
         // the fault-free result.
         let noisy = Arc::new(FaultPlan::new(11).with_noise(FaultNoise {
@@ -773,42 +547,32 @@ mod tests {
             reorder_prob: 0.0,
             drop_prob: 1.0,
         }));
-        let program = |mut mb: Mailbox<u64>| {
-            let p = mb.num_ranks();
-            let outgoing: Vec<(usize, u64)> = (0..p)
-                .map(|to| (to, (mb.rank() * 100 + to) as u64))
-                .collect();
-            mb.exchange(outgoing)
-        };
-        let clean = run_spmd::<u64, _, _>(4, program).expect("clean run");
-        let faulty =
-            run_spmd_with::<u64, _, _>(4, Duration::from_secs(20), Some((noisy, 0)), program)
-                .expect("drops must recover via retransmission");
-        assert_eq!(clean, faulty);
+        let mut clean = machine(vec![Vec::new(); 4]);
+        let mut faulty = planned(vec![Vec::new(); 4], noisy);
+        all_to_all(&mut clean, 1);
+        all_to_all(&mut faulty, 1);
+        assert_eq!(clean.ranks(), faulty.ranks());
     }
 
     #[test]
     fn benign_noise_preserves_results() {
-        let program = |mut mb: Mailbox<u64>| {
-            let p = mb.num_ranks();
-            let outgoing: Vec<(usize, u64)> = (0..p)
-                .flat_map(|to| {
-                    let r = mb.rank() as u64;
-                    (0..3).map(move |k| (to, r * 1000 + k))
-                })
-                .collect();
-            let inbox = mb.exchange(outgoing);
-            let sum = mb.allgather(inbox.iter().map(|(_, v)| v).sum::<u64>());
-            mb.barrier();
-            (inbox, sum)
-        };
-        let clean = run_spmd::<u64, _, _>(6, program).expect("clean run");
+        fn program<E: SpmdEngine<Vec<(usize, u64)>>>(m: &mut E) {
+            all_to_all(m, 3);
+            m.allgather(
+                PhaseKind::Other,
+                8,
+                |_r, s| (usize::MAX, s.iter().map(|(_, v)| v).sum::<u64>()),
+                |_r, s, sums| s.extend_from_slice(sums),
+            )
+            .expect("allgather");
+            m.barrier().expect("barrier");
+        }
+        let mut clean = machine(vec![Vec::new(); 6]);
+        program(&mut clean);
         for seed in [1u64, 2, 3] {
-            let plan = Arc::new(FaultPlan::benign(seed));
-            let noisy =
-                run_spmd_with::<u64, _, _>(6, Duration::from_secs(30), Some((plan, 0)), program)
-                    .expect("benign plan must not fail the run");
-            assert_eq!(clean, noisy, "seed {seed} changed results");
+            let mut noisy = planned(vec![Vec::new(); 6], Arc::new(FaultPlan::benign(seed)));
+            program(&mut noisy);
+            assert_eq!(clean.ranks(), noisy.ranks(), "seed {seed} changed results");
         }
     }
 }

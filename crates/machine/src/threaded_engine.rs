@@ -4,14 +4,18 @@
 //! of the machine (the internal `RankPool`); each superstep or collective
 //! dispatches one job per rank to its thread instead of spawning fresh
 //! threads, which removes ~100–200 µs of spawn/join overhead per
-//! operation from the hot path.  Ranks communicate through
-//! [`crate::threaded::Mailbox`] channels, so the communication the
-//! modeled [`Machine`](crate::Machine) *charges* is here actually
-//! *performed*.  Where the modeled machine reports τ/μ/δ seconds, this
-//! engine reports wall-clock seconds; the statistics log carries the same
-//! off-rank message/byte counts (they are a property of the program, not
-//! the executor), which is what makes the two logs directly comparable in
-//! the `threaded_vs_modeled` bench.
+//! operation from the hot path.  Each operation connects the ranks by a
+//! fresh set of mailbox channels and runs at most one batch round on
+//! them: every rank sends one batch to every rank and gets back the `p`
+//! batches indexed by sender.  That round is the all-to-many exchange of
+//! a superstep and the gather under `allgatherv` and
+//! `allreduce_elementwise`; `local_step` and `barrier` communicate
+//! nothing.  So the communication the modeled [`Machine`](crate::Machine)
+//! *charges* is here actually *performed*.  Where the modeled machine
+//! reports τ/μ/δ seconds, this engine reports wall-clock seconds; the
+//! statistics log carries the same off-rank message/byte counts (they
+//! are a property of the program, not the executor), which is what makes
+//! the two logs directly comparable in the `threaded_vs_modeled` bench.
 //!
 //! Rank results are bit-identical to the modeled machine by construction:
 //!
@@ -21,13 +25,14 @@
 //!   reductions associate identically;
 //! * ranks share no mutable state between synchronization points.
 //!
-//! Failure semantics come from the mailbox layer: a failing rank poisons
-//! its peers and every entry point returns the *root* failure as a typed
-//! [`SpmdError`] within bounded time (see [`crate::threaded`]).  An
-//! installed [`FaultPlan`](crate::FaultPlan) is threaded into every
-//! rank's mailbox as a per-(rank, epoch)
-//! [`FaultSession`](crate::fault::FaultSession), so this engine honors
-//! benign wire faults *and* kills.
+//! A failing rank poisons its peers, and every operation returns the
+//! *root* failure as a typed [`SpmdError`] within bounded time: a receive
+//! waits in doubling slices that retransmit withheld batches, up to the
+//! deadline set by [`ThreadedMachine::with_timeout`], and then fails with
+//! a [`TimeoutDetail`](crate::TimeoutDetail).  An installed
+//! [`FaultPlan`](crate::FaultPlan) reaches every rank's mailbox as a
+//! per-(rank, epoch, phase) session, so this engine honors benign wire
+//! faults (delay, reorder, drop) *and* kills.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -241,12 +246,10 @@ impl<S: Send> ThreadedMachine<S> {
         let epoch = self.instruments.fault_epoch;
         let start = Instant::now();
         let p = self.cfg.ranks;
-        let mut mailboxes = make_mailboxes::<M>(p, self.timeout);
-        if let Some(plan) = &self.instruments.fault_plan {
-            for (rank, mb) in mailboxes.iter_mut().enumerate() {
-                mb.set_fault(Some(plan.session(rank, epoch, phase)));
-            }
-        }
+        let plan = self.instruments.fault_plan.as_ref();
+        let mailboxes = make_mailboxes::<M>(p, self.timeout, |rank| {
+            plan.map(|plan| plan.session(rank, epoch, phase))
+        });
         if self.pool.is_none() {
             self.pool = Some(RankPool::new(p));
         }
@@ -456,34 +459,6 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         Ok(())
     }
 
-    fn allgather<T, F, G>(
-        &mut self,
-        phase: PhaseKind,
-        bytes_per_item: usize,
-        extract: F,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T + Sync,
-        G: Fn(usize, &mut S, &[T]) + Sync,
-    {
-        let extract = &extract;
-        let apply = &apply;
-        let (_, wall) = self.run_ranks::<T, (), _>(phase, move |r, s, mut mb| {
-            let all = mb.allgather(extract(r, s));
-            apply(r, s, &all);
-        })?;
-        self.record(
-            phase,
-            wall,
-            Shares::Collective {
-                share_bytes: bytes_per_item,
-            },
-        );
-        Ok(())
-    }
-
     fn allgatherv<T, F, G>(
         &mut self,
         phase: PhaseKind,
@@ -501,7 +476,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         let (lens, wall) = self.run_ranks::<T, usize, _>(phase, move |r, s, mut mb| {
             let part = extract(r, s);
             let share = part.len();
-            let concat = mb.allgatherv(part);
+            let concat: Vec<T> = mb.allgather(part).into_iter().flatten().collect();
             apply(r, s, &concat);
             share
         })?;
@@ -513,35 +488,6 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
                 share_bytes: max_share * bytes_per_item,
             },
         );
-        Ok(())
-    }
-
-    fn allreduce<T, F, R, G>(
-        &mut self,
-        phase: PhaseKind,
-        extract: F,
-        reduce: R,
-        apply: G,
-    ) -> Result<(), SpmdError>
-    where
-        T: Clone + Send,
-        F: Fn(usize, &S) -> T + Sync,
-        R: Fn(T, T) -> T + Sync,
-        G: Fn(usize, &mut S, &T) + Sync,
-    {
-        let extract = &extract;
-        let reduce = &reduce;
-        let apply = &apply;
-        let (_, wall) = self.run_ranks::<T, (), _>(phase, move |r, s, mut mb| {
-            // gather everyone's value, fold in rank order locally: the
-            // same association order as the modeled machine, so
-            // floating-point results are bit-identical.
-            let mut it = mb.allgather(extract(r, s)).into_iter();
-            let first = it.next().expect("machine has at least one rank");
-            let folded = it.fold(first, reduce);
-            apply(r, s, &folded);
-        })?;
-        self.record(phase, wall, Shares::Collective { share_bytes: 8 });
         Ok(())
     }
 
@@ -562,7 +508,7 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         let extract = &extract;
         let reduce = &reduce;
         let apply = &apply;
-        let (_, wall) = self.run_ranks::<Vec<T>, (), _>(phase, move |r, s, mut mb| {
+        let (_, wall) = self.run_ranks::<T, (), _>(phase, move |r, s, mut mb| {
             let mut parts = mb.allgather(extract(r, s)).into_iter();
             let mut acc = parts.next().expect("machine has at least one rank");
             for v in parts {
@@ -577,9 +523,11 @@ impl<S: Send> SpmdEngine<S> for ThreadedMachine<S> {
         Ok(())
     }
 
+    /// The pool's completion wait is the barrier; the dispatched no-op
+    /// only honors kill faults, as `local_step` does.
     fn barrier(&mut self) -> Result<(), SpmdError> {
         let (_, wall) =
-            self.run_ranks::<(), (), _>(PhaseKind::Other, |_r, _s, mut mb| mb.barrier())?;
+            self.run_ranks::<(), (), _>(PhaseKind::Other, |_r, _s, mb| mb.check_kill())?;
         self.elapsed_wall_s += wall.as_secs_f64();
         Ok(())
     }

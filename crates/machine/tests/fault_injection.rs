@@ -1,12 +1,13 @@
-//! Chaos tests for the fault-injection harness.
+//! Chaos tests for the fault-injection harness, run on the engine that
+//! ships: [`ThreadedMachine`].
 //!
 //! Two properties anchor the failure model:
 //!
 //! 1. **Benign faults are invisible.**  Delay, reorder and drop-retry
 //!    faults exercise timing, queueing and retransmission, but the
-//!    protocol (per-sender FIFO + sender-sorted delivery + count
-//!    handshakes) must absorb them: results are bit-identical to a
-//!    fault-free run for *any* seed.
+//!    protocol (one batch per rank pair, sender-indexed delivery) must
+//!    absorb them: results are bit-identical to a fault-free run for
+//!    *any* seed.
 //! 2. **Kills are loud and attributed.**  A killed rank must surface as
 //!    a typed error naming the rank and epoch, promptly (poison
 //!    propagation, not timeout expiry), on every seed.
@@ -17,8 +18,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pic_machine::threaded::{run_spmd, run_spmd_with};
-use pic_machine::{FaultNoise, FaultPlan};
+use pic_machine::{
+    FaultNoise, FaultPlan, MachineConfig, Outbox, PhaseKind, SpmdEngine, SpmdError,
+    ThreadedMachine, Topology,
+};
 
 const FIXED_SEEDS: [u64; 3] = [0xC0FFEE, 0xBADF00D, 0x5EED];
 
@@ -31,56 +34,89 @@ fn chaos_seeds() -> Vec<u64> {
     seeds
 }
 
-/// A protocol-heavy SPMD program: point-to-point ring traffic, a full
-/// exchange, an allgather and barriers, folded into one digest per rank.
-fn protocol_mix(p: usize) -> Result<Vec<u64>, pic_machine::SpmdError> {
-    run_spmd::<u64, u64, _>(p, move |mut mb| protocol_mix_rank(p, &mut mb))
+/// Fold `v` into a running digest.
+fn mix(digest: u64, k: u64, v: u64) -> u64 {
+    digest.wrapping_mul(k).wrapping_add(v)
 }
 
-fn protocol_mix_rank(p: usize, mb: &mut pic_machine::threaded::Mailbox<u64>) -> u64 {
-    let r = mb.rank();
-    let mut digest = r as u64;
+/// A protocol-heavy SPMD program over every engine operation: ring
+/// traffic, barriers, an irregular exchange, an allgatherv and both
+/// all-reduces, folded into one digest per rank.  Runs on `p` threaded
+/// ranks under `plan` (if any) at fault epoch 0.
+fn protocol_mix(p: usize, plan: Option<Arc<FaultPlan>>) -> Result<Vec<u64>, SpmdError> {
+    let cfg = MachineConfig {
+        ranks: p,
+        tau: 1.0,
+        mu: 0.1,
+        delta: 0.01,
+        topology: Topology::FullyConnected,
+    };
+    let mut m =
+        ThreadedMachine::new(cfg, (0..p as u64).collect()).with_timeout(Duration::from_secs(30));
+    m.instruments_mut().fault_plan = plan;
     // ring rotation
-    mb.send((r + 1) % p, (r as u64) * 17 + 1);
-    for (from, v) in mb.recv_exact(1) {
-        digest = digest.wrapping_mul(31).wrapping_add(from as u64 ^ v);
-    }
-    mb.barrier();
+    m.superstep(
+        PhaseKind::Scatter,
+        |r, _d, _ctx, ob: &mut Outbox<Vec<u64>>| ob.send((r + 1) % p, vec![r as u64 * 17 + 1]),
+        |_r, d, _ctx, inbox| {
+            for (from, v) in inbox {
+                *d = mix(*d, 31, from as u64 ^ v[0]);
+            }
+        },
+    )?;
+    m.barrier()?;
     // irregular exchange: rank r sends r%3 messages to each smaller rank
-    let outgoing: Vec<(usize, u64)> = (0..r)
-        .flat_map(|to| (0..r % 3).map(move |k| (to, (r * 100 + to * 10 + k) as u64)))
-        .collect();
-    for (from, v) in mb.exchange(outgoing) {
-        digest = digest
-            .wrapping_mul(37)
-            .wrapping_add(((from as u64) << 8) | (v % 251));
-    }
-    // allgather folds in rank order on every rank
-    for share in mb.allgather_vec(vec![digest, digest ^ 0xA5A5]) {
-        for v in share {
-            digest = digest.wrapping_mul(41).wrapping_add(v);
-        }
-    }
-    mb.barrier();
-    digest
+    m.superstep(
+        PhaseKind::Redistribute,
+        |r, _d, _ctx, ob: &mut Outbox<Vec<u64>>| {
+            for to in 0..r {
+                for k in 0..r % 3 {
+                    ob.send(to, vec![(r * 100 + to * 10 + k) as u64]);
+                }
+            }
+        },
+        |_r, d, _ctx, inbox| {
+            for (from, v) in inbox {
+                *d = mix(*d, 37, ((from as u64) << 8) | (v[0] % 251));
+            }
+        },
+    )?;
+    // collectives fold in rank order on every rank
+    m.allgatherv(
+        PhaseKind::Setup,
+        8,
+        |_r, d| vec![*d, *d ^ 0xA5A5],
+        |_r, d, all: &[u64]| {
+            for &v in all {
+                *d = mix(*d, 41, v);
+            }
+        },
+    )?;
+    m.allreduce(
+        PhaseKind::FieldSolve,
+        |_r, d| *d,
+        |a, b| mix(a, 43, b),
+        |_r, d, &v| *d ^= v,
+    )?;
+    m.allreduce_elementwise(
+        PhaseKind::Gather,
+        16,
+        |r, d| vec![*d, r as u64],
+        |a, b| mix(*a, 47, *b),
+        |_r, d, acc| *d = mix(*d, 53, acc[0] ^ acc[1]),
+    )?;
+    m.barrier()?;
+    Ok(m.into_ranks())
 }
 
-fn protocol_mix_with_plan(
-    p: usize,
-    plan: Arc<FaultPlan>,
-) -> Result<Vec<u64>, pic_machine::SpmdError> {
-    run_spmd_with::<u64, u64, _>(
-        p,
-        Duration::from_secs(30),
-        Some((plan, 0)),
-        move |mut mb| protocol_mix_rank(p, &mut mb),
-    )
+fn protocol_mix_with_plan(p: usize, plan: Arc<FaultPlan>) -> Result<Vec<u64>, SpmdError> {
+    protocol_mix(p, Some(plan))
 }
 
 #[test]
 fn benign_chaos_is_bit_identical_across_seeds() {
     for p in [2usize, 5, 8] {
-        let clean = protocol_mix(p).expect("clean run");
+        let clean = protocol_mix(p, None).expect("clean run");
         for seed in chaos_seeds() {
             let plan = Arc::new(FaultPlan::benign(seed));
             let noisy = protocol_mix_with_plan(p, plan)
@@ -97,7 +133,7 @@ fn heavy_drop_noise_exhausts_the_retry_path_without_changing_results() {
         ..FaultNoise::aggressive()
     };
     let p = 4;
-    let clean = protocol_mix(p).expect("clean run");
+    let clean = protocol_mix(p, None).expect("clean run");
     for seed in chaos_seeds() {
         let plan = Arc::new(FaultPlan::new(seed).with_noise(noise));
         let noisy = protocol_mix_with_plan(p, plan).expect("drops must be retransmitted");

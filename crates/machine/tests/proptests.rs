@@ -2,7 +2,9 @@
 //! determinism across execution modes, and cost-model sanity under
 //! arbitrary communication patterns.
 
-use pic_machine::{ExecMode, Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, Topology};
+use pic_machine::{
+    ExecMode, Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, ThreadedMachine, Topology,
+};
 use proptest::prelude::*;
 
 fn cfg(p: usize) -> MachineConfig {
@@ -137,33 +139,27 @@ proptest! {
 fn threaded_executor_matches_bsp_machine() {
     // the same all-to-all SPMD program on real threads and on the BSP
     // machine must produce identical rank states
-    use pic_machine::threaded::run_spmd;
-    let p = 6;
-    let threaded: Vec<u64> = run_spmd::<u64, u64, _>(p, move |mut mb| {
-        let r = mb.rank();
-        for to in 0..p {
-            if to != r {
-                mb.send(to, (r * r) as u64);
-            }
-        }
-        mb.recv_exact(p - 1).into_iter().map(|(_, v)| v).sum()
-    })
-    .expect("fault-free run");
-
-    let mut m = Machine::new(cfg(p), ExecMode::Sequential, vec![0u64; p]);
-    m.superstep(
-        PhaseKind::Other,
-        move |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| {
-            for to in 0..p {
-                if to != r {
-                    ob.send(to, vec![(r * r) as u64]);
+    fn drive<E: SpmdEngine<u64>>(m: &mut E) {
+        let p = m.num_ranks();
+        m.superstep(
+            PhaseKind::Other,
+            move |r, _s, _ctx, ob: &mut Outbox<Vec<u64>>| {
+                for to in 0..p {
+                    if to != r {
+                        ob.send(to, vec![(r * r) as u64]);
+                    }
                 }
-            }
-        },
-        |_r, s, _ctx, inbox| {
-            *s = inbox.iter().map(|(_, v)| v[0]).sum();
-        },
-    )
-    .unwrap();
-    assert_eq!(threaded, m.ranks());
+            },
+            |_r, s, _ctx, inbox| {
+                *s = inbox.iter().map(|(_, v)| v[0]).sum();
+            },
+        )
+        .unwrap();
+    }
+    let p = 6;
+    let mut threaded = ThreadedMachine::new(cfg(p), vec![0u64; p]);
+    let mut m = Machine::new(cfg(p), ExecMode::Sequential, vec![0u64; p]);
+    drive(&mut threaded);
+    drive(&mut m);
+    assert_eq!(threaded.ranks(), m.ranks());
 }

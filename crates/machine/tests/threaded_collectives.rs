@@ -7,7 +7,8 @@
 //! associated a floating-point fold differently.
 
 use pic_machine::{
-    ExecMode, Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, ThreadedMachine, Topology,
+    ExecMode, Machine, MachineConfig, Outbox, PhaseKind, SpmdEngine, SuperstepStats,
+    ThreadedMachine, Topology,
 };
 use proptest::prelude::*;
 
@@ -52,6 +53,50 @@ proptest! {
         drive(&mut modeled);
         drive(&mut threaded);
         prop_assert_eq!(modeled.ranks(), threaded.ranks());
+    }
+
+    /// allgather hands every rank the rank-indexed vector of one value per
+    /// rank, bit-identically on both executors, and both record the same
+    /// statistics row (wall and modeled time aside).
+    #[test]
+    fn allgather_agrees(
+        p in 1usize..9,
+        vals in prop::collection::vec(-1.0e6f64..1.0e6, 1..9),
+        bytes_per_item in 1usize..64,
+    ) {
+        fn drive<E: SpmdEngine<(f64, Vec<f64>)>>(m: &mut E, bytes_per_item: usize) {
+            m.allgather(
+                PhaseKind::Redistribute,
+                bytes_per_item,
+                |r, s| s.0 * (r as f64 + 0.5),
+                |_r, s, all: &[f64]| s.1 = all.to_vec(),
+            )
+            .expect("fault-free allgather");
+        }
+        let states: Vec<(f64, Vec<f64>)> =
+            (0..p).map(|r| (vals[r % vals.len()] + r as f64 * 0.37, Vec::new())).collect();
+        let mut modeled = Machine::new(cfg(p), ExecMode::Sequential, states.clone());
+        let mut threaded = ThreadedMachine::new(cfg(p), states);
+        drive(&mut modeled, bytes_per_item);
+        drive(&mut threaded, bytes_per_item);
+        for (a, b) in modeled.ranks().iter().zip(threaded.ranks()) {
+            prop_assert_eq!(a.1.len(), p);
+            prop_assert_eq!(a.1.len(), b.1.len());
+            for (x, y) in a.1.iter().zip(&b.1) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+        // the time columns hold modeled vs wall seconds; everything else
+        // describes the algorithm and must match
+        let untimed = |s: &SuperstepStats| SuperstepStats {
+            max_comm_s: 0.0,
+            elapsed_s: 0.0,
+            ..*s
+        };
+        let mrows: Vec<_> = modeled.stats().records().iter().map(untimed).collect();
+        let trows: Vec<_> = threaded.stats().records().iter().map(untimed).collect();
+        prop_assert_eq!(mrows.len(), 1);
+        prop_assert_eq!(mrows, trows);
     }
 
     /// allreduce of f64 sums is bit-identical (rank-order fold on both).
